@@ -34,10 +34,11 @@ from .scenario import (
     Scenario,
     ScenarioValidationError,
     SimulationSettings,
+    hardware_to_dict,
     parse_scenario,
     scenario_to_dict,
 )
-from .sim.circuit import Circuit, random_circuit
+from .sim.circuit import random_circuit
 from .sim.engine import NoiseModel, estimate_fidelity
 from .sim.fit import FitResult, fit_error_rates
 from .sim.grover import grover_success_probability, ideal_success_probability
@@ -111,17 +112,15 @@ def run_estimate(scenario: Scenario) -> dict:
 def _auto_fit_channels(sim: SimulationSettings) -> tuple[str, ...]:
     if sim.fit_channels is not None:
         return sim.fit_channels
-    rates = (sim.noise.eps0, sim.noise.eps1, sim.noise.eps2)
-    return tuple(c for c, r in zip(CHANNELS, rates) if r > 0.0)
+    return tuple(c for c in CHANNELS if sim.noise.rate(c) > 0.0)
 
 
-def _fit_dict(result: FitResult, injected: dict[str, float]) -> dict:
+def _fit_dict(result: FitResult) -> dict:
     return {
         "channels": list(result.channels),
         "rates": dict(result.rates),
         "std_errors": dict(result.std_errors),
         "ci95": {c: list(result.confidence_interval(c)) for c in result.channels},
-        "injected": injected,
         "n_observations": result.n_observations,
         "residual_norm": result.residual_norm,
     }
@@ -129,16 +128,13 @@ def _fit_dict(result: FitResult, injected: dict[str, float]) -> dict:
 
 def _simulate_random(sim: SimulationSettings) -> dict:
     noise = NoiseModel(sim.noise)
-    circuits: list[Circuit] = []
     # Trajectory seed blocks come first (one block of `trajectories`
     # per depth, in order); topology seeds follow after all blocks.
     topo_base = sim.seed + len(sim.depths) * sim.trajectories
-    for j, depth in enumerate(sim.depths):
-        circuits.append(random_circuit(sim.qubits, depth, topo_base + j,
-                                       sim.pairs_per_layer))
     rows = []
     observations: list[tuple[OpCounts, float]] = []
-    for j, circuit in enumerate(circuits):
+    for j, depth in enumerate(sim.depths):
+        circuit = random_circuit(sim.qubits, depth, topo_base + j, sim.pairs_per_layer)
         estimate = estimate_fidelity(circuit, noise, sim.trajectories,
                                      sim.seed + j * sim.trajectories)
         counts = circuit.counts()
@@ -146,7 +142,7 @@ def _simulate_random(sim: SimulationSettings) -> dict:
         if log_mean is not None:
             observations.append((counts, log_mean))
         rows.append({
-            "depth": sim.depths[j],
+            "depth": depth,
             "counts": {"n0": counts.n0, "n1": counts.n1, "n2": counts.n2},
             "digest": circuit.digest(),
             "mean_fidelity": estimate.mean,
@@ -157,8 +153,8 @@ def _simulate_random(sim: SimulationSettings) -> dict:
     channels = _auto_fit_channels(sim)
     if channels and len(observations) >= 2:
         result = fit_error_rates(observations, channels)
-        injected = {c: sim.noise.rate(c) for c in result.channels}
-        doc["fit"] = _fit_dict(result, injected)
+        doc["fit"] = _fit_dict(result)
+        doc["fit"]["injected"] = {c: sim.noise.rate(c) for c in result.channels}
     else:
         doc["fit"] = None
     return doc
@@ -317,21 +313,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
-    presets = {}
-    for name, hw in PRESETS.items():
-        presets[name] = {
-            "eps0": hw.budget.eps0,
-            "eps1": hw.budget.eps1,
-            "eps2": hw.budget.eps2,
-            "t2": hw.t2,
-            "gate_time_1q": hw.gate_time_1q,
-            "gate_time_2q": hw.gate_time_2q,
-            "cycle_time": hw.cycle_time,
-            "time_per_qubit_layer": hw.time_per_qubit_layer,
-            "yield_p": hw.yield_p,
-            "area_per_qubit": hw.area_per_qubit,
-            "dissipation_per_qubit": hw.dissipation_per_qubit,
-        }
+    presets = {name: hardware_to_dict(hw) for name, hw in PRESETS.items()}
+    for hw in presets.values():
+        del hw["name"]
     doc = {"command": "presets", "presets": presets}
     _emit(doc, args)
     return 0
@@ -369,18 +353,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if not channels:
             raise ValueError("all count columns are zero; nothing to fit")
     result = fit_error_rates(observations, channels)
-    doc = {
-        "command": "fit",
-        "fit": {
-            "channels": list(result.channels),
-            "rates": dict(result.rates),
-            "std_errors": dict(result.std_errors),
-            "ci95": {c: list(result.confidence_interval(c))
-                     for c in result.channels},
-            "n_observations": result.n_observations,
-            "residual_norm": result.residual_norm,
-        },
-    }
+    doc = {"command": "fit", "fit": _fit_dict(result)}
     _emit(doc, args)
     return 0
 

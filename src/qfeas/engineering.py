@@ -26,19 +26,26 @@ from .qec import (
 #: Wiring sensitivity rows: control lines per qubit.
 WIRING_SENSITIVITY = (1, 2, 4)
 
+#: Control lines per qubit in the headline wiring count.
+LINES_PER_QUBIT = 1
+
+#: Classical decoder operations per syndrome bit.
+OPS_PER_BIT = 1
+
+#: Line count above which a wiring sensitivity row gets a warning note.
+FEASIBLE_LINES_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class CryoProfile:
     """Dilution-refrigerator budget: cooling power at base temperature
-    and at the 4 K stage, and the electricity one fridge draws."""
+    and the electricity one fridge draws."""
 
     cooling_power_cold: float = 500e-6
-    cooling_power_4k: float = 1.0
     wall_power_per_fridge: float = 1e4
 
     def __post_init__(self) -> None:
-        for field in ("cooling_power_cold", "cooling_power_4k",
-                      "wall_power_per_fridge"):
+        for field in ("cooling_power_cold", "wall_power_per_fridge"):
             value = getattr(self, field)
             if not value > 0:
                 raise ValueError(f"{field} must be positive, got {value!r}")
@@ -138,9 +145,7 @@ class ScalingReport:
 
 
 def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
-                      cryo: CryoProfile, *, lines_per_qubit: int = 1,
-                      ops_per_bit: int | float = 1,
-                      feasible_lines_budget: int = 10 ** 6) -> ScalingReport:
+                      cryo: CryoProfile) -> ScalingReport:
     """Chain algorithm costing, code selection and every hardware budget.
 
     The per-logical-operation error target is -ln(F*)/N2, i.e. the
@@ -167,11 +172,11 @@ def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
     )
 
     rate = syndrome_data_rate(n_total, hw.cycle_time)
-    decoder = decoder_compute(rate, ops_per_bit)
+    decoder = decoder_compute(rate, OPS_PER_BIT)
     yield_p = fabrication_yield(hw.yield_p, n_total)
     area = chip_area(n_total, hw.area_per_qubit)
     fridges, wall_power = cryo_budget(n_total, hw.dissipation_per_qubit, cryo)
-    wires = wiring_count(n_total, lines_per_qubit)
+    wires = wiring_count(n_total, LINES_PER_QUBIT)
     by_lines = {k: wiring_count(n_total, k) for k in WIRING_SENSITIVITY}
     runtime = logical_runtime(feasibility.two_qubit_count, code, hw.cycle_time)
 
@@ -180,20 +185,20 @@ def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
         f"-> {n_total:.4g} physical qubits (factory overhead included)",
         f"syndrome stream: {rate:.4g} bit/s "
         f"({rate / 1e9:.4g} gigabit cables)",
-        f"decoder load: {decoder:.4g} ops/s at {ops_per_bit} op/bit",
+        f"decoder load: {decoder:.4g} ops/s at {OPS_PER_BIT} op/bit",
         f"fabrication yield: {yield_p.value:.4g} "
         f"(log {yield_p.log_value:.4g})",
         f"chip area: {area:.4g} m^2",
         f"cryogenics: {fridges} fridges drawing {wall_power:.4g} W",
-        f"wiring: {wires:.4g} lines at {lines_per_qubit}/qubit",
+        f"wiring: {wires:.4g} lines at {LINES_PER_QUBIT}/qubit",
     ]
     if yield_p.underflowed:
         notes.append("yield underflows: no working chip at any production volume")
     for k in WIRING_SENSITIVITY:
-        if by_lines[k] > feasible_lines_budget:
+        if by_lines[k] > FEASIBLE_LINES_BUDGET:
             notes.append(
                 f"wiring at {k} lines/qubit ({by_lines[k]:.4g}) exceeds the "
-                f"feasible-lines budget ({feasible_lines_budget:.4g})")
+                f"feasible-lines budget ({FEASIBLE_LINES_BUDGET:.4g})")
     notes.append(f"logical runtime: {runtime:.4g} s")
 
     return ScalingReport(

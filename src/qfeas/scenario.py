@@ -23,7 +23,8 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cache
 
 import yaml
 
@@ -77,22 +78,32 @@ class Scenario:
     simulation: SimulationSettings | None
 
 
-_HARDWARE_KEYS = ("preset", "name", "eps0", "eps1", "eps2", "t2",
-                  "gate_time_1q", "gate_time_2q", "cycle_time",
-                  "time_per_qubit_layer", "yield_p", "area_per_qubit",
-                  "dissipation_per_qubit")
-_HARDWARE_REQUIRED = ("t2", "gate_time_1q", "gate_time_2q", "cycle_time",
-                      "time_per_qubit_layer", "yield_p", "area_per_qubit",
-                      "dissipation_per_qubit")
-_ALGORITHM_KEYS = ("kind", "size", "target_fidelity", "chemistry_prefactor",
-                   "routing_overhead")
-_QEC_KEYS = ("eps_th", "eps_nc", "nc_max", "ops_per_logical_gate",
-             "factory_overhead", "correctable_prefactor", "floor_prefactor")
-_CRYO_KEYS = ("cooling_power_cold", "cooling_power_4k", "wall_power_per_fridge")
-_SIM_COMMON_KEYS = ("kind", "qubits", "noise", "trajectories", "seed")
-_SIM_RANDOM_KEYS = _SIM_COMMON_KEYS + ("depths", "pairs_per_layer", "fit")
-_SIM_GROVER_KEYS = _SIM_COMMON_KEYS + ("iterations", "marked")
-_NOISE_KEYS = ("eps0", "eps1", "eps2")
+#: Where a scenario key is not the dataclass field it sets.
+_ALIASES = {"size_n": "size", "fit_channels": "fit"}
+#: Keys whose value must be an integer; every other field key takes a number.
+_INTEGER_KEYS = ("nc_max", "size")
+
+
+@cache  # fields() is slow; one entry per schema dataclass
+def _field_keys(cls) -> tuple[tuple[str, str], ...]:
+    """(field name, scenario key) for each field of a dataclass, in order."""
+    return tuple((f.name, _ALIASES.get(f.name, f.name)) for f in fields(cls))
+
+
+@cache
+def _section_keys(cls) -> tuple[str, ...]:
+    return tuple(key for _, key in _field_keys(cls))
+
+
+_NOISE_KEYS = _section_keys(ErrorBudget)
+_HARDWARE_REQUIRED = tuple(k for k in _section_keys(HardwareProfile)
+                           if k not in ("name", "budget"))
+_HARDWARE_KEYS = ("preset", "name") + _NOISE_KEYS + _HARDWARE_REQUIRED
+_ALGORITHM_KEYS = _section_keys(AlgorithmSpec)
+_SIM_KEYS = _section_keys(SimulationSettings)
+_SIM_RANDOM_KEYS = tuple(k for k in _SIM_KEYS if k not in ("iterations", "marked"))
+_SIM_GROVER_KEYS = tuple(k for k in _SIM_KEYS
+                         if k not in ("depths", "pairs_per_layer", "fit"))
 
 
 def _check_keys(node: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -128,59 +139,49 @@ def _build(factory, path: str, **kwargs):
         raise ScenarioValidationError(f"{path}: {exc}") from exc
 
 
+def _parse_section(node: object, cls, path: str, **checked):
+    """Build `cls` from a mapping of its field keys; `checked` holds
+    arguments the caller has validated already."""
+    node = _mapping(node, path)
+    _check_keys(node, _section_keys(cls), path)
+    for name, key in _field_keys(cls):
+        if key in node and name not in checked:
+            check = _integer if key in _INTEGER_KEYS else _number
+            checked[name] = check(node[key], f"{path}.{key}")
+    return _build(cls, path, **checked)
+
+
+def _preset(name: str, path: str) -> HardwareProfile:
+    try:
+        return get_preset(name)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"{path}: {exc}") from exc
+
+
 def _parse_hardware(node: object) -> HardwareProfile:
     path = "hardware"
     if isinstance(node, str):
-        try:
-            return get_preset(node)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{path}: {exc}") from exc
+        return _preset(node, path)
     node = _mapping(node, path)
     _check_keys(node, _HARDWARE_KEYS, path)
-    base = None
     if "preset" in node:
-        preset_name = node["preset"]
-        if not isinstance(preset_name, str):
+        if not isinstance(node["preset"], str):
             raise ScenarioValidationError(f"{path}.preset must be a string")
-        try:
-            base = get_preset(preset_name)
-        except ValueError as exc:
-            raise ScenarioValidationError(f"{path}: {exc}") from exc
+        values = hardware_to_dict(_preset(node["preset"], path))
     else:
         missing = [k for k in _HARDWARE_REQUIRED if k not in node]
         if missing:
             raise ScenarioValidationError(
                 f"{path}: missing keys {missing} (or start from a preset)")
-
-    def field(key: str, default):
-        if key in node:
-            return _number(node[key], f"{path}.{key}")
-        return default
-
-    budget = _build(
-        ErrorBudget, f"{path}",
-        eps0=field("eps0", base.budget.eps0 if base else 0.0),
-        eps1=field("eps1", base.budget.eps1 if base else 0.0),
-        eps2=field("eps2", base.budget.eps2 if base else 0.0),
-    )
-    name = node.get("name", base.name if base else "custom")
+        values = {"name": "custom"}
+    values.update(node)
+    values.pop("preset", None)
+    name = values.pop("name")
     if not isinstance(name, str):
         raise ScenarioValidationError(f"{path}.name must be a string")
-    return _build(
-        HardwareProfile, path,
-        name=name,
-        budget=budget,
-        t2=field("t2", base.t2 if base else None),
-        gate_time_1q=field("gate_time_1q", base.gate_time_1q if base else None),
-        gate_time_2q=field("gate_time_2q", base.gate_time_2q if base else None),
-        cycle_time=field("cycle_time", base.cycle_time if base else None),
-        time_per_qubit_layer=field(
-            "time_per_qubit_layer", base.time_per_qubit_layer if base else None),
-        yield_p=field("yield_p", base.yield_p if base else None),
-        area_per_qubit=field("area_per_qubit", base.area_per_qubit if base else None),
-        dissipation_per_qubit=field(
-            "dissipation_per_qubit", base.dissipation_per_qubit if base else None),
-    )
+    budget = _parse_section({k: values.pop(k) for k in _NOISE_KEYS if k in values},
+                            ErrorBudget, path)
+    return _parse_section(values, HardwareProfile, path, name=name, budget=budget)
 
 
 def _parse_algorithm(node: object) -> AlgorithmSpec:
@@ -194,48 +195,7 @@ def _parse_algorithm(node: object) -> AlgorithmSpec:
     if kind not in KINDS:
         raise ScenarioValidationError(
             f"{path}.kind must be one of {KINDS}, got {kind!r}")
-    kwargs = {"kind": kind, "size_n": _integer(node["size"], f"{path}.size")}
-    if "target_fidelity" in node:
-        kwargs["target_fidelity"] = _number(node["target_fidelity"],
-                                            f"{path}.target_fidelity")
-    if "chemistry_prefactor" in node:
-        kwargs["chemistry_prefactor"] = _number(node["chemistry_prefactor"],
-                                                f"{path}.chemistry_prefactor")
-    if "routing_overhead" in node:
-        kwargs["routing_overhead"] = _number(node["routing_overhead"],
-                                             f"{path}.routing_overhead")
-    return _build(AlgorithmSpec, path, **kwargs)
-
-
-def _parse_qec(node: object) -> QecCode:
-    path = "qec"
-    node = _mapping(node, path)
-    _check_keys(node, _QEC_KEYS, path)
-    kwargs = {}
-    for key in _QEC_KEYS:
-        if key in node:
-            if key == "nc_max":
-                kwargs[key] = _integer(node[key], f"{path}.{key}")
-            else:
-                kwargs[key] = _number(node[key], f"{path}.{key}")
-    return _build(QecCode, path, **kwargs)
-
-
-def _parse_cryo(node: object) -> CryoProfile:
-    path = "cryo"
-    node = _mapping(node, path)
-    _check_keys(node, _CRYO_KEYS, path)
-    kwargs = {k: _number(node[k], f"{path}.{k}") for k in _CRYO_KEYS if k in node}
-    return _build(CryoProfile, path, **kwargs)
-
-
-def _parse_noise(node: object, default: ErrorBudget, path: str) -> ErrorBudget:
-    if node is None:
-        return default
-    node = _mapping(node, path)
-    _check_keys(node, _NOISE_KEYS, path)
-    kwargs = {k: _number(node[k], f"{path}.{k}") for k in _NOISE_KEYS if k in node}
-    return _build(ErrorBudget, path, **kwargs)
+    return _parse_section(node, AlgorithmSpec, path, kind=kind)
 
 
 def _parse_simulation(node: object, hardware: HardwareProfile) -> SimulationSettings:
@@ -254,7 +214,9 @@ def _parse_simulation(node: object, hardware: HardwareProfile) -> SimulationSett
     if not min_q <= qubits <= MAX_QUBITS:
         raise ScenarioValidationError(
             f"{path}.qubits must lie in [{min_q}, {MAX_QUBITS}], got {qubits}")
-    noise = _parse_noise(node.get("noise"), hardware.budget, f"{path}.noise")
+    noise = hardware.budget
+    if node.get("noise") is not None:
+        noise = _parse_section(node["noise"], ErrorBudget, f"{path}.noise")
     trajectories = _integer(node.get("trajectories", 1000), f"{path}.trajectories")
     if trajectories < 1:
         raise ScenarioValidationError(f"{path}.trajectories must be >= 1")
@@ -321,14 +283,14 @@ def parse_scenario(text: str) -> Scenario:
         doc = {}
     if not isinstance(doc, dict):
         raise ScenarioParseError("the document must be a mapping")
-    _check_keys(doc, ("hardware", "algorithm", "qec", "cryo", "simulation"), "")
+    _check_keys(doc, _section_keys(Scenario), "")
     for key in ("hardware", "algorithm"):
         if key not in doc:
             raise ScenarioValidationError(f"{key!r} section is required")
     hardware = _parse_hardware(doc["hardware"])
     algorithm = _parse_algorithm(doc["algorithm"])
-    qec = _parse_qec(doc.get("qec", {}))
-    cryo = _parse_cryo(doc.get("cryo", {}))
+    qec = _parse_section(doc.get("qec", {}), QecCode, "qec")
+    cryo = _parse_section(doc.get("cryo", {}), CryoProfile, "cryo")
     simulation = None
     if "simulation" in doc and doc["simulation"] is not None:
         simulation = _parse_simulation(doc["simulation"], hardware)
@@ -336,67 +298,31 @@ def parse_scenario(text: str) -> Scenario:
                     cryo=cryo, simulation=simulation)
 
 
+def _echo(obj) -> dict:
+    """Plain data of a dataclass under its scenario keys.  Fields hold
+    numbers, strings, tuples (echoed as lists), None (left out) or
+    further such dataclasses (echoed as mappings)."""
+    doc = {}
+    for name, key in _field_keys(type(obj)):
+        value = getattr(obj, name)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = list(value)
+        elif not isinstance(value, (int, float, str)):
+            value = _echo(value)
+        doc[key] = value
+    return doc
+
+
+def hardware_to_dict(hw: HardwareProfile) -> dict:
+    """Flat echo of a hardware profile: name, eps0..eps2, then the rest."""
+    doc = _echo(hw)
+    return {"name": doc.pop("name"), **doc.pop("budget"), **doc}
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-data echo of a scenario; parses back to an equal Scenario."""
-    hw = scenario.hardware
-    alg = scenario.algorithm
-    code = scenario.qec
-    cryo = scenario.cryo
-    doc = {
-        "hardware": {
-            "name": hw.name,
-            "eps0": hw.budget.eps0,
-            "eps1": hw.budget.eps1,
-            "eps2": hw.budget.eps2,
-            "t2": hw.t2,
-            "gate_time_1q": hw.gate_time_1q,
-            "gate_time_2q": hw.gate_time_2q,
-            "cycle_time": hw.cycle_time,
-            "time_per_qubit_layer": hw.time_per_qubit_layer,
-            "yield_p": hw.yield_p,
-            "area_per_qubit": hw.area_per_qubit,
-            "dissipation_per_qubit": hw.dissipation_per_qubit,
-        },
-        "algorithm": {
-            "kind": alg.kind,
-            "size": alg.size_n,
-            "target_fidelity": alg.target_fidelity,
-            "chemistry_prefactor": alg.chemistry_prefactor,
-            "routing_overhead": alg.routing_overhead,
-        },
-        "qec": {
-            "eps_th": code.eps_th,
-            "eps_nc": code.eps_nc,
-            "nc_max": code.nc_max,
-            "ops_per_logical_gate": code.ops_per_logical_gate,
-            "factory_overhead": code.factory_overhead,
-            "correctable_prefactor": code.correctable_prefactor,
-            "floor_prefactor": code.floor_prefactor,
-        },
-        "cryo": {
-            "cooling_power_cold": cryo.cooling_power_cold,
-            "cooling_power_4k": cryo.cooling_power_4k,
-            "wall_power_per_fridge": cryo.wall_power_per_fridge,
-        },
-    }
-    sim = scenario.simulation
-    if sim is not None:
-        block: dict = {
-            "kind": sim.kind,
-            "qubits": sim.qubits,
-            "noise": {"eps0": sim.noise.eps0, "eps1": sim.noise.eps1,
-                      "eps2": sim.noise.eps2},
-            "trajectories": sim.trajectories,
-            "seed": sim.seed,
-        }
-        if sim.kind == "random":
-            block["depths"] = list(sim.depths)
-            if sim.pairs_per_layer is not None:
-                block["pairs_per_layer"] = sim.pairs_per_layer
-            if sim.fit_channels is not None:
-                block["fit"] = list(sim.fit_channels)
-        else:
-            block["iterations"] = sim.iterations
-            block["marked"] = sim.marked
-        doc["simulation"] = block
+    doc = _echo(scenario)
+    doc["hardware"] = hardware_to_dict(scenario.hardware)
     return doc

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -260,26 +261,36 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
     return float((overlap.real ** 2 + overlap.imag ** 2) / denom)
 
 
-def estimate_fidelity(circuit: Circuit, noise: NoiseModel, n_traj: int,
-                      seed: int) -> FidelityEstimate:
-    """Mean overlap with the ideal state over n_traj trajectories.
+def mean_over_trajectories(
+        circuit: Circuit, noise: NoiseModel, n_traj: int, seed: int,
+        observe: Callable[[QuantumState | None], float]) -> tuple[float, float]:
+    """Mean and standard error of ``observe(state)`` over n_traj
+    trajectories' final states.
 
     Trajectory i uses seed+i.  A trajectory with no insertions is bit-
-    identical to the ideal run, so its overlap contributes exactly 1.0
-    without re-running the circuit.
+    identical to the ideal run, so it is not re-run: it contributes
+    ``observe(None)``, which must be the observable's ideal value.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     sites = noise_sites(circuit, noise)
-    ideal = run_ideal(circuit)
     values = np.empty(n_traj, dtype=np.float64)
     for i in range(n_traj):
         insertions = sample_insertions(sites, seed + i)
-        if not insertions:
-            values[i] = 1.0
-        else:
-            values[i] = state_fidelity(ideal, run_with_insertions(circuit, insertions))
+        values[i] = observe(run_with_insertions(circuit, insertions)
+                            if insertions else None)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
+    return mean, std_error
+
+
+def estimate_fidelity(circuit: Circuit, noise: NoiseModel, n_traj: int,
+                      seed: int) -> FidelityEstimate:
+    """Mean overlap with the ideal state over n_traj trajectories; a
+    trajectory with no insertions contributes exactly 1.0."""
+    ideal = run_ideal(circuit)
+    mean, std_error = mean_over_trajectories(
+        circuit, noise, n_traj, seed,
+        lambda state: 1.0 if state is None else state_fidelity(ideal, state))
     return FidelityEstimate(mean=mean, std_error=std_error,
                             n_trajectories=n_traj, seed=seed)

@@ -12,16 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .circuit import MAX_QUBITS, Circuit
-from .engine import (
-    NoiseModel,
-    noise_sites,
-    run_ideal,
-    run_with_insertions,
-    sample_insertions,
-)
+from .engine import NoiseModel, QuantumState, mean_over_trajectories, run_ideal
 from .gates import Gate, cnot, h, rz, x
 
 
@@ -120,7 +112,7 @@ def ideal_success_probability(n: int, iterations: int) -> float:
     return math.sin((2 * iterations + 1) * angle) ** 2
 
 
-def _marked_probability(state: np.ndarray, index: int) -> float:
+def _marked_probability(state: QuantumState, index: int) -> float:
     amp = state[index]
     return float(amp.real ** 2 + amp.imag ** 2)
 
@@ -142,15 +134,6 @@ def grover_success_probability(n: int, marked: str, iterations: int,
     p_ideal = _marked_probability(ideal, index)
     if noise.is_null:
         return SuccessEstimate(p_ideal, 0.0)
-    sites = noise_sites(circuit, noise)
-    values = np.empty(n_traj, dtype=np.float64)
-    for i in range(n_traj):
-        insertions = sample_insertions(sites, seed + i)
-        if not insertions:
-            values[i] = p_ideal  # no insertions: identical to the ideal run
-        else:
-            values[i] = _marked_probability(
-                run_with_insertions(circuit, insertions), index)
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return SuccessEstimate(mean, std_error)
+    return SuccessEstimate(*mean_over_trajectories(
+        circuit, noise, n_traj, seed,
+        lambda state: p_ideal if state is None else _marked_probability(state, index)))

@@ -257,6 +257,12 @@ class TestUsageErrors:
         assert main(["estimate", write(tmp_path, "bad.yaml", text)]) == 1
         assert "epsilon3" in capsys.readouterr().err
 
+    def test_removed_cryo_key_is_unknown(self, tmp_path, capsys):
+        text = SHOR_2048 + "cryo: {cooling_power_4k: 2.0}\n"
+        assert main(["estimate", write(tmp_path, "bad.yaml", text)]) == 1
+        err = capsys.readouterr().err
+        assert "qfeas: error: unknown key 'cryo.cooling_power_4k'" in err.splitlines()[0]
+
     def test_bad_format_value(self, tmp_path, capsys):
         assert main(["estimate", write(tmp_path, "s.yaml", SHOR_2048),
                      "--format", "rtf"]) == 1

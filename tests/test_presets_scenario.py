@@ -6,11 +6,12 @@ import pytest
 import yaml
 
 from qfeas import ErrorBudget
-from qfeas.presets import get_preset, preset_names
+from qfeas.presets import PRESETS, get_preset, preset_names
 from qfeas.scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
+    hardware_to_dict,
     parse_scenario,
     scenario_to_dict,
 )
@@ -227,3 +228,18 @@ simulation:
 """)
         again = parse_scenario(yaml.safe_dump(scenario_to_dict(s)))
         assert again == s
+
+    def test_grover_sim_round_trip_resolves_defaults(self):
+        s = parse_scenario(MINIMAL + "simulation: {kind: grover, qubits: 5, seed: 2}\n")
+        echo = scenario_to_dict(s)["simulation"]
+        assert echo["iterations"] == 4 and echo["marked"] == "11111"
+        assert "depths" not in echo and "fit" not in echo
+        assert parse_scenario(yaml.safe_dump(scenario_to_dict(s))) == s
+
+    @pytest.mark.parametrize("name", preset_names())
+    def test_explicit_preset_hardware_round_trip(self, name):
+        text = yaml.safe_dump({"hardware": hardware_to_dict(PRESETS[name]),
+                               "algorithm": {"kind": "shor", "size": 16}})
+        s = parse_scenario(text)
+        assert s.hardware == PRESETS[name]
+        assert parse_scenario(yaml.safe_dump(scenario_to_dict(s))) == s
