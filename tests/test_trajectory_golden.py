@@ -26,6 +26,15 @@ def test_estimate_fidelity_bits(qubits, depth, topo_seed, budget, n_traj, seed,
     assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
 
 
+def test_decay_benchmark_shape_bits():
+    """The simulate-decay shape: 6 qubits, depth 200, two CZ pairs per
+    layer, eps2 = 2e-3, 300 trajectories."""
+    est = estimate_fidelity(random_circuit(6, 200, 41, 2),
+                            NoiseModel(ErrorBudget(eps2=2e-3)), 300, 2024)
+    assert (est.mean.hex(), est.std_error.hex()) == (
+        "0x1.dc743e14a106ap-2", "0x1.d0c067b48715dp-6")
+
+
 @pytest.mark.parametrize("n, marked, iterations, budget, n_traj, seed, probability, std_error", [
     (4, "1011", 3, ErrorBudget(eps1=0.002, eps2=0.005), 30, 2,
      "0x1.1eba8d50ca7c0p-1", "0x1.407b8333ffc69p-4"),
