@@ -37,8 +37,20 @@ SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 _INT_LIMIT = 2 ** 63
 
 
-def _as_count(value: int) -> int | float:
-    return value if value < _INT_LIMIT else float(value)
+def _as_count(value: int | float, factor: float | None = None) -> int | float:
+    """``value``, or ``factor * value`` when a factor is given, as a gate
+    count.  ``value`` alone stays an exact int below 2^63 and becomes a
+    float above.  A count that no float can hold is refused with
+    ValueError."""
+    try:
+        if factor is None:
+            return value if value < _INT_LIMIT else float(value)
+        count = factor * value
+        float(count)  # an int factor keeps the product an exact int
+        return count
+    except OverflowError:
+        raise ValueError("two-qubit count is beyond the float range "
+                         "(about 1.8e308); use a smaller instance") from None
 
 
 @dataclass(frozen=True)
@@ -109,10 +121,7 @@ def grover_two_qubit_count(n_bits: int) -> int | float:
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    scaled = n_bits << (n_bits // 2)
-    if n_bits % 2:
-        return scaled * math.sqrt(2.0)
-    return _as_count(scaled)
+    return _as_count(n_bits << (n_bits // 2), math.sqrt(2.0) if n_bits % 2 else None)
 
 
 def chemistry_two_qubit_count(n_electrons: int, prefactor: float = 1.0) -> int | float:
@@ -121,10 +130,7 @@ def chemistry_two_qubit_count(n_electrons: int, prefactor: float = 1.0) -> int |
         raise ValueError(f"n_electrons must be >= 2, got {n_electrons}")
     if not prefactor > 0:
         raise ValueError("prefactor must be positive")
-    count = n_electrons ** 6
-    if prefactor == 1:
-        return _as_count(count)
-    return prefactor * count
+    return _as_count(n_electrons ** 6, None if prefactor == 1 else prefactor)
 
 
 def two_qubit_count(spec: AlgorithmSpec) -> int | float:
@@ -137,7 +143,7 @@ def two_qubit_count(spec: AlgorithmSpec) -> int | float:
         base = chemistry_two_qubit_count(spec.size_n, spec.chemistry_prefactor)
     if spec.routing_overhead == 1:
         return base
-    return spec.routing_overhead * base
+    return _as_count(base, spec.routing_overhead)
 
 
 def logical_qubit_count(spec: AlgorithmSpec) -> int:

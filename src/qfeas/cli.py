@@ -62,6 +62,10 @@ def _feasibility_dict(report: FeasibilityReport) -> dict:
     }
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 def _scaling_dict(report: ScalingReport) -> dict:
     return {
         "n_logical": report.n_logical,
@@ -76,7 +80,7 @@ def _scaling_dict(report: ScalingReport) -> dict:
         "decoder_ops": report.decoder_ops,
         "yield": {
             "value": report.yield_probability.value,
-            "log_value": report.yield_probability.log_value,
+            "log_value": _finite_or_none(report.yield_probability.log_value),
             "underflowed": report.yield_probability.underflowed,
         },
         "chip_area_m2": report.chip_area,
@@ -256,7 +260,7 @@ def _simulate_table(doc: dict) -> str:
 
 def _render(doc: dict, fmt: str) -> str:
     if fmt == "machine":
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if doc["command"] == "estimate":
         return _estimate_table(doc)
     if doc["command"] == "simulate":
@@ -280,8 +284,9 @@ def _render(doc: dict, fmt: str) -> str:
 def _emit(doc: dict, args: argparse.Namespace) -> None:
     print(_render(doc, args.format))
     if args.output:
-        Path(args.output).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                                     encoding="ascii")
+        Path(args.output).write_text(
+            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
+            encoding="ascii")
 
 
 def _load_scenario(path: str) -> Scenario:

@@ -1,8 +1,18 @@
 """State-vector engine with Monte-Carlo stochastic Pauli noise.
 
-Gates act through strided slice arithmetic on a flat complex128 array
-(no matrix products), so a run is a fixed sequence of elementwise
-operations and its output is reproducible bit for bit.
+Gates act through strided slice arithmetic on complex128 amplitudes (no
+matrix products), so a run is a fixed sequence of elementwise operations
+and its output is reproducible bit for bit.  The same kernel takes one
+register, a 1-D array of 2^n amplitudes, or a block of registers, a
+(rows, 2^n) array: the rows fold into the leading axis of each reshape,
+and every amplitude sees the same operations either way.
+
+Noisy trajectories run as the rows of such blocks, each block capped at
+``_BATCH_BYTES``.  Every gate is applied once to the whole block, and a
+Pauli insertion afterwards to its own row.  A trajectory that draws no
+insertion is not simulated at all.  A noise site stores only its gate's
+index, rate and targets; the Pauli gates of an insertion are built only
+when the site fires.
 
 Noise realization per trajectory, given the trajectory seed:
 
@@ -103,7 +113,7 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
         return
     if not gate.is_two_qubit:
         q = gate.targets[0]
-        m = state.reshape(1 << q, 2, -1)
+        m = state.reshape(-1, 2, 1 << (n - q - 1))
         a = m[:, 0, :]
         b = m[:, 1, :]
         if kind == "X":
@@ -143,7 +153,7 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
         return
     t0, t1 = gate.targets
     p0, p1 = (t0, t1) if t0 < t1 else (t1, t0)
-    v = state.reshape(1 << p0, 2, 1 << (p1 - p0 - 1), 2, -1)
+    v = state.reshape(-1, 2, 1 << (p1 - p0 - 1), 2, 1 << (n - p1 - 1))
     if kind == "CZ":
         v[:, 1, :, 1, :] *= -1.0
     elif kind == "CNOT":
@@ -189,9 +199,8 @@ def run_ideal(circuit: Circuit, initial: QuantumState | None = None) -> QuantumS
     return state
 
 
-#: One potential insertion point: (gate index, firing rate, choices),
-#: each choice being the Gate sequence realizing one Pauli product.
-_Site = tuple[int, float, tuple[tuple[Gate, ...], ...]]
+#: One potential insertion point: (gate index, firing rate, gate targets).
+_Site = tuple[int, float, tuple[int, ...]]
 
 
 def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
@@ -205,17 +214,8 @@ def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
             rate = budget.eps2
         else:
             rate = budget.eps1
-        if rate == 0.0:
-            continue
-        if gate.is_two_qubit:
-            qa, qb = gate.targets
-            choices = tuple(
-                tuple(Gate(p, (q,)) for p, q in ((pa, qa), (pb, qb)) if p != "I")
-                for pa, pb in PAULI_PAIRS)
-        else:
-            q = gate.targets[0]
-            choices = tuple((Gate(p, (q,)),) for p in PAULI_1Q)
-        sites.append((i, rate, choices))
+        if rate != 0.0:
+            sites.append((i, rate, gate.targets))
     return sites
 
 
@@ -227,9 +227,13 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> dict[int, tuple[Gat
         return {}
     uniforms = rng.random(len(sites))
     insertions: dict[int, tuple[Gate, ...]] = {}
-    for j, (index, rate, choices) in enumerate(sites):
-        if uniforms[j] < rate:
-            insertions[index] = choices[int(rng.integers(0, len(choices)))]
+    for u, (index, rate, targets) in zip(uniforms.tolist(), sites):
+        if u < rate:
+            if len(targets) == 2:
+                paulis = zip(PAULI_PAIRS[int(rng.integers(0, 15))], targets)
+                insertions[index] = tuple(Gate(p, (q,)) for p, q in paulis if p != "I")
+            else:
+                insertions[index] = (Gate(PAULI_1Q[int(rng.integers(0, 3))], targets),)
     return insertions
 
 
@@ -261,6 +265,35 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
     return float((overlap.real ** 2 + overlap.imag ** 2) / denom)
 
 
+#: Cap on the bytes of one block of trajectory states: a block holds
+#: max(1, _BATCH_BYTES // (16 * 2^n)) rows of 2^n amplitudes.
+_BATCH_BYTES = 1 << 20
+
+
+def _run_block(circuit: Circuit, block: list[tuple[int, dict[int, tuple[Gate, ...]]]],
+               values: np.ndarray, observe: Callable[[QuantumState], float]) -> None:
+    """Run each (trajectory, insertions) of ``block`` as one row of a
+    (rows, 2^n) array and store ``observe`` of row r in values[trajectory].
+
+    Each gate acts once on the whole array; an insertion then acts on its
+    own row, so every row sees the serial run's operations in its order.
+    """
+    n = circuit.n_qubits
+    states = np.zeros((len(block), 1 << n), dtype=np.complex128)
+    states[:, 0] = 1.0
+    after: dict[int, list[tuple[int, tuple[Gate, ...]]]] = {}
+    for r, (_, insertions) in enumerate(block):
+        for index, paulis in insertions.items():
+            after.setdefault(index, []).append((r, paulis))
+    for g, gate in enumerate(circuit.gates):
+        _apply_inplace(states, gate, n)
+        for r, paulis in after.get(g, ()):
+            for pauli in paulis:
+                _apply_inplace(states[r], pauli, n)
+    for r, (i, _) in enumerate(block):
+        values[i] = observe(states[r])
+
+
 def mean_over_trajectories(
         circuit: Circuit, noise: NoiseModel, n_traj: int, seed: int,
         observe: Callable[[QuantumState | None], float]) -> tuple[float, float]:
@@ -269,16 +302,31 @@ def mean_over_trajectories(
 
     Trajectory i uses seed+i.  A trajectory with no insertions is bit-
     identical to the ideal run, so it is not re-run: it contributes
-    ``observe(None)``, which must be the observable's ideal value.
+    ``observe(None)``, which must be the observable's ideal value.  The
+    others are simulated together, as the rows of blocks of at most
+    ``_BATCH_BYTES``, and each row gives ``observe`` a 1-D state.
     """
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     sites = noise_sites(circuit, noise)
+    n = circuit.n_qubits
+    # On one qubit, T and RZ multiply a single amplitude per row, and numpy
+    # rounds a one-element complex product differently from the same
+    # product inside its vector loop; so those rows run one at a time.
+    rows = 1 if n == 1 else max(1, _BATCH_BYTES // (16 << n))
     values = np.empty(n_traj, dtype=np.float64)
+    block: list[tuple[int, dict[int, tuple[Gate, ...]]]] = []
     for i in range(n_traj):
         insertions = sample_insertions(sites, seed + i)
-        values[i] = observe(run_with_insertions(circuit, insertions)
-                            if insertions else None)
+        if not insertions:
+            values[i] = observe(None)
+            continue
+        block.append((i, insertions))
+        if len(block) == rows:
+            _run_block(circuit, block, values, observe)
+            block = []
+    if block:
+        _run_block(circuit, block, values, observe)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return mean, std_error

@@ -271,6 +271,30 @@ class TestUsageErrors:
         assert main(["--help"]) == 0
 
 
+class TestOutputContract:
+    @pytest.mark.parametrize("algorithm", [
+        "{kind: grover, size: 2100}",
+        "{kind: shor, size: %d}" % 10 ** 103,
+        "{kind: chemistry, size: %d}" % 10 ** 52,
+    ], ids=["grover", "shor", "chemistry"])
+    def test_count_beyond_float_range_exits_1(self, tmp_path, capsys, algorithm):
+        text = f"hardware: sc-2020\nalgorithm: {algorithm}\n"
+        assert main(["estimate", write(tmp_path, "big.yaml", text)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qfeas: error: two-qubit count is beyond the float range")
+
+    def test_zero_yield_is_strict_json(self, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        text = "hardware: {preset: sc-2020, yield_p: 0.0}\nalgorithm: {kind: shor, size: 2048}\n"
+        code = main(["estimate", write(tmp_path, "y.yaml", text), "--format", "machine"])
+        assert code == 2
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["scaling"]["yield"]["log_value"] is None
+        assert doc["scaling"]["yield"]["underflowed"] is True
+
+
 class TestOutputFile:
     def test_output_written_even_with_table_stdout(self, tmp_path, capsys):
         scenario = write(tmp_path, "s.yaml", SHOR_2048)
