@@ -46,7 +46,7 @@ def _as_count(value: int | float, factor: float | None = None) -> int | float:
         if factor is None:
             return value if value < _INT_LIMIT else float(value)
         count = factor * value
-        float(count)  # an int factor keeps the product an exact int
+        float(count)  # only a range check: an int product stays exact
         return count
     except OverflowError:
         raise ValueError("two-qubit count is beyond the float range "

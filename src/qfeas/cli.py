@@ -284,9 +284,7 @@ def _render(doc: dict, fmt: str) -> str:
 def _emit(doc: dict, args: argparse.Namespace) -> None:
     print(_render(doc, args.format))
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n",
-            encoding="ascii")
+        Path(args.output).write_text(_render(doc, "machine") + "\n", encoding="ascii")
 
 
 def _load_scenario(path: str) -> Scenario:

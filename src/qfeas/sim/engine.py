@@ -5,7 +5,9 @@ matrix products), so a run is a fixed sequence of elementwise operations
 and its output is reproducible bit for bit.  The same kernel takes one
 register, a 1-D array of 2^n amplitudes, or a block of registers, a
 (rows, 2^n) array: the rows fold into the leading axis of each reshape,
-and every amplitude sees the same operations either way.
+and every amplitude sees the same operations either way.  (numpy rounds
+a complex product on a single amplitude by another loop than on several,
+so 1-qubit trajectories run one row per block.)
 
 Noisy trajectories run as the rows of such blocks, each block capped at
 ``_BATCH_BYTES``.  Every gate is applied once to the whole block, and a
@@ -202,6 +204,9 @@ def run_ideal(circuit: Circuit, initial: QuantumState | None = None) -> QuantumS
 #: One potential insertion point: (gate index, firing rate, gate targets).
 _Site = tuple[int, float, tuple[int, ...]]
 
+#: One trajectory's insertions: gate index -> Pauli gates applied after it.
+_Insertions = dict[int, tuple[Gate, ...]]
+
 
 def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
     """Insertion sites in circuit order; zero-rate channels contribute none."""
@@ -219,14 +224,14 @@ def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
     return sites
 
 
-def sample_insertions(sites: list[_Site], traj_seed: int) -> dict[int, tuple[Gate, ...]]:
+def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
     """Draw one trajectory's insertions; see the module docstring for
     the exact draw order."""
     rng = np.random.Generator(np.random.Philox(traj_seed))
     if not sites:
         return {}
     uniforms = rng.random(len(sites))
-    insertions: dict[int, tuple[Gate, ...]] = {}
+    insertions: _Insertions = {}
     for u, (index, rate, targets) in zip(uniforms.tolist(), sites):
         if u < rate:
             if len(targets) == 2:
@@ -237,7 +242,7 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> dict[int, tuple[Gat
     return insertions
 
 
-def run_with_insertions(circuit: Circuit, insertions: dict[int, tuple[Gate, ...]],
+def run_with_insertions(circuit: Circuit, insertions: _Insertions,
                         initial: QuantumState | None = None) -> QuantumState:
     """Run the circuit applying each insertion right after its gate."""
     state = _initial_state(circuit, initial)
@@ -270,7 +275,7 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 _BATCH_BYTES = 1 << 20
 
 
-def _run_block(circuit: Circuit, block: list[tuple[int, dict[int, tuple[Gate, ...]]]],
+def _run_block(circuit: Circuit, block: list[tuple[int, _Insertions]],
                values: np.ndarray, observe: Callable[[QuantumState], float]) -> None:
     """Run each (trajectory, insertions) of ``block`` as one row of a
     (rows, 2^n) array and store ``observe`` of row r in values[trajectory].
@@ -315,7 +320,7 @@ def mean_over_trajectories(
     # product inside its vector loop; so those rows run one at a time.
     rows = 1 if n == 1 else max(1, _BATCH_BYTES // (16 << n))
     values = np.empty(n_traj, dtype=np.float64)
-    block: list[tuple[int, dict[int, tuple[Gate, ...]]]] = []
+    block: list[tuple[int, _Insertions]] = []
     for i in range(n_traj):
         insertions = sample_insertions(sites, seed + i)
         if not insertions:
