@@ -39,8 +39,8 @@ def _gate(kind, targets, theta):
 @st.composite
 def circuits(draw):
     """Every gate kind at least once (the two-qubit ones from n = 2 on,
-    CNOT with its control both below and above its target), then a
-    random tail."""
+    CNOT with its control both below and above its target) plus up to 30
+    random gates, in a random order."""
     n = draw(st.integers(1, 8))
     qubit = st.integers(0, n - 1)
     theta = st.floats(-4.0, 4.0, allow_nan=False)
