@@ -416,9 +416,9 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
-        # covers scenario parse/validation errors and rank-deficient fits,
-        # which all derive from ValueError
+    except (OSError, ValueError, MemoryError) as exc:
+        # scenario parse/validation errors and rank-deficient fits derive
+        # from ValueError; a trajectory count too large to hold raises MemoryError
         print(f"qfeas: error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,15 @@ class ZeroCountError(ValueError):
     """Inverting the fidelity law over a channel with zero operations."""
 
 
+def _channel_index(channel: str) -> int:
+    try:
+        return CHANNELS.index(channel)
+    except ValueError:
+        raise ValueError(
+            f"unknown channel {channel!r}; expected one of {CHANNELS}"
+        ) from None
+
+
 def _check_rate(name: str, value: float) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a real number, got {value!r}")
@@ -71,13 +80,7 @@ class ErrorBudget:
 
     def rate(self, channel: str) -> float:
         """Rate for a named channel from :data:`CHANNELS`."""
-        try:
-            idx = CHANNELS.index(channel)
-        except ValueError:
-            raise ValueError(
-                f"unknown channel {channel!r}; expected one of {CHANNELS}"
-            ) from None
-        return (self.eps0, self.eps1, self.eps2)[idx]
+        return (self.eps0, self.eps1, self.eps2)[_channel_index(channel)]
 
 
 @dataclass(frozen=True)
@@ -106,13 +109,7 @@ class OpCounts:
 
     def count(self, channel: str) -> int | float:
         """Count for a named channel from :data:`CHANNELS`."""
-        try:
-            idx = CHANNELS.index(channel)
-        except ValueError:
-            raise ValueError(
-                f"unknown channel {channel!r}; expected one of {CHANNELS}"
-            ) from None
-        return (self.n0, self.n1, self.n2)[idx]
+        return (self.n0, self.n1, self.n2)[_channel_index(channel)]
 
     @property
     def total(self) -> int | float:

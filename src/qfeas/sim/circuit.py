@@ -22,6 +22,7 @@ import numpy as np
 
 from ..model import OpCounts
 from .gates import (
+    CHANNEL_OF_KIND,
     PARAMETRIC_KINDS,
     BadTargetError,
     Gate,
@@ -67,15 +68,10 @@ class Circuit:
     def counts(self) -> OpCounts:
         """Operation tallies: IDLE slots as N0, one-qubit gates as N1,
         two-qubit gates as N2."""
-        n0 = n1 = n2 = 0
+        tally = [0, 0, 0]
         for gate in self.gates:
-            if gate.kind == "IDLE":
-                n0 += 1
-            elif gate.is_two_qubit:
-                n2 += 1
-            else:
-                n1 += 1
-        return OpCounts(n0, n1, n2)
+            tally[CHANNEL_OF_KIND[gate.kind]] += 1
+        return OpCounts(*tally)
 
     def to_text(self) -> str:
         """Canonical text form; see the module docstring."""

@@ -11,10 +11,16 @@ so 1-qubit trajectories run one row per block.)
 
 Noisy trajectories run as the rows of such blocks, each block capped at
 ``_BATCH_BYTES``.  Every gate is applied once to the whole block, and a
-Pauli insertion afterwards to its own row.  A trajectory that draws no
-insertion is not simulated at all.  A noise site stores only its gate's
-index, rate and targets; the Pauli gates of an insertion are built only
-when the site fires.
+Pauli insertion afterwards to its own row.  A noise site stores only its
+gate's index, rate and targets; the Pauli gates of an insertion are
+built only when the site fires.
+
+An observable is ``observe(ideal, state)``, a float from the noiseless
+final state and one trajectory's.  The noiseless (ideal) run is the
+trajectory with no insertions: it rides as row 0 of the first block, and
+a trajectory that draws no insertion is not simulated but contributes
+``observe(ideal, ideal)``.  A circuit with no noise site runs the ideal
+alone, draws nothing, and gives ``(observe(ideal, ideal), 0.0)``.
 
 Noise realization per trajectory, given the trajectory seed:
 
@@ -38,13 +44,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..model import ErrorBudget
 from .circuit import MAX_QUBITS, Circuit
-from .gates import _SQ2, _T_PHASE, BadTargetError, Gate
+from .gates import _SQ2, _T_PHASE, CHANNEL_OF_KIND, BadTargetError, Gate
 
 #: A register state: 2^n complex128 amplitudes, qubit 0 = high bit.
 QuantumState = np.ndarray
@@ -211,17 +217,9 @@ _Insertions = dict[int, tuple[Gate, ...]]
 def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
     """Insertion sites in circuit order; zero-rate channels contribute none."""
     budget = noise.budget
-    sites: list[_Site] = []
-    for i, gate in enumerate(circuit.gates):
-        if gate.kind == "IDLE":
-            rate = budget.eps0
-        elif gate.is_two_qubit:
-            rate = budget.eps2
-        else:
-            rate = budget.eps1
-        if rate != 0.0:
-            sites.append((i, rate, gate.targets))
-    return sites
+    rates = (budget.eps0, budget.eps1, budget.eps2)
+    return [(i, rate, gate.targets) for i, gate in enumerate(circuit.gates)
+            if (rate := rates[CHANNEL_OF_KIND[gate.kind]]) != 0.0]
 
 
 def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
@@ -275,19 +273,18 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 _BATCH_BYTES = 1 << 20
 
 
-def _run_block(circuit: Circuit, block: list[tuple[int, _Insertions]],
-               values: np.ndarray, observe: Callable[[QuantumState], float]) -> None:
-    """Run each (trajectory, insertions) of ``block`` as one row of a
-    (rows, 2^n) array and store ``observe`` of row r in values[trajectory].
+def _run_block(circuit: Circuit, insertions_list: list[_Insertions]) -> np.ndarray:
+    """Run each entry of ``insertions_list`` as one row of a (rows, 2^n)
+    array and return the array.
 
     Each gate acts once on the whole array; an insertion then acts on its
     own row, so every row sees the serial run's operations in its order.
     """
     n = circuit.n_qubits
-    states = np.zeros((len(block), 1 << n), dtype=np.complex128)
+    states = np.zeros((len(insertions_list), 1 << n), dtype=np.complex128)
     states[:, 0] = 1.0
     after: dict[int, list[tuple[int, tuple[Gate, ...]]]] = {}
-    for r, (_, insertions) in enumerate(block):
+    for r, insertions in enumerate(insertions_list):
         for index, paulis in insertions.items():
             after.setdefault(index, []).append((r, paulis))
     for g, gate in enumerate(circuit.gates):
@@ -295,43 +292,59 @@ def _run_block(circuit: Circuit, block: list[tuple[int, _Insertions]],
         for r, paulis in after.get(g, ()):
             for pauli in paulis:
                 _apply_inplace(states[r], pauli, n)
-    for r, (i, _) in enumerate(block):
-        values[i] = observe(states[r])
+    return states
+
+
+def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
+            clean: np.ndarray) -> Iterator[tuple[list[int], list[_Insertions]]]:
+    """Draw the trajectories' insertions in order, set clean[i] for each
+    trajectory i that drew none, and yield the others as (trajectories,
+    insertions) blocks of at most ``rows``.  The first block, yielded
+    even when no trajectory drew anything, begins with the ideal row."""
+    owners: list[int] = []
+    block: list[_Insertions] = [{}]
+    for i in range(n_traj):
+        insertions = sample_insertions(sites, seed + i)
+        if not insertions:
+            clean[i] = True
+            continue
+        if len(block) == rows:
+            yield owners, block
+            owners, block = [], []
+        owners.append(i)
+        block.append(insertions)
+    yield owners, block
 
 
 def mean_over_trajectories(
         circuit: Circuit, noise: NoiseModel, n_traj: int, seed: int,
-        observe: Callable[[QuantumState | None], float]) -> tuple[float, float]:
-    """Mean and standard error of ``observe(state)`` over n_traj
-    trajectories' final states.
-
-    Trajectory i uses seed+i.  A trajectory with no insertions is bit-
-    identical to the ideal run, so it is not re-run: it contributes
-    ``observe(None)``, which must be the observable's ideal value.  The
-    others are simulated together, as the rows of blocks of at most
-    ``_BATCH_BYTES``, and each row gives ``observe`` a 1-D state.
-    """
+        observe: Callable[[QuantumState, QuantumState], float]) -> tuple[float, float]:
+    """Mean and standard error of ``observe(ideal, state)`` over n_traj
+    trajectories' final states; trajectory i uses seed+i.  The ideal run
+    and the trajectories that drew an insertion run as the rows of blocks
+    of at most ``_BATCH_BYTES``; see the module docstring."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     sites = noise_sites(circuit, noise)
+    if not sites:
+        ideal = _run_block(circuit, [{}])[0]
+        return observe(ideal, ideal), 0.0
     n = circuit.n_qubits
     # On one qubit, T and RZ multiply a single amplitude per row, and numpy
     # rounds a one-element complex product differently from the same
     # product inside its vector loop; so those rows run one at a time.
     rows = 1 if n == 1 else max(1, _BATCH_BYTES // (16 << n))
     values = np.empty(n_traj, dtype=np.float64)
-    block: list[tuple[int, _Insertions]] = []
-    for i in range(n_traj):
-        insertions = sample_insertions(sites, seed + i)
-        if not insertions:
-            values[i] = observe(None)
-            continue
-        block.append((i, insertions))
-        if len(block) == rows:
-            _run_block(circuit, block, values, observe)
-            block = []
-    if block:
-        _run_block(circuit, block, values, observe)
+    clean = np.zeros(n_traj, dtype=bool)
+    ideal = None
+    for owners, block in _blocks(sites, n_traj, seed, rows, clean):
+        states = _run_block(circuit, block)
+        if ideal is None:
+            ideal = states[0].copy()
+        for r, i in enumerate(owners, start=len(block) - len(owners)):
+            values[i] = observe(ideal, states[r])
+        del states  # free this block before the next one is allocated
+    values[clean] = observe(ideal, ideal)
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return mean, std_error
@@ -341,9 +354,7 @@ def estimate_fidelity(circuit: Circuit, noise: NoiseModel, n_traj: int,
                       seed: int) -> FidelityEstimate:
     """Mean overlap with the ideal state over n_traj trajectories; a
     trajectory with no insertions contributes exactly 1.0."""
-    ideal = run_ideal(circuit)
-    mean, std_error = mean_over_trajectories(
-        circuit, noise, n_traj, seed,
-        lambda state: 1.0 if state is None else state_fidelity(ideal, state))
+    mean, std_error = mean_over_trajectories(circuit, noise, n_traj, seed,
+                                             state_fidelity)
     return FidelityEstimate(mean=mean, std_error=std_error,
                             n_trajectories=n_traj, seed=seed)

@@ -17,6 +17,11 @@ ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S", "T", "RZ", "RX", "IDLE")
 TWO_QUBIT_KINDS = ("CZ", "CNOT")
 PARAMETRIC_KINDS = ("RZ", "RX")
 
+#: Noise channel of each kind: an index into (eps0, eps1, eps2) and
+#: (N0, N1, N2), so IDLE -> 0, other one-qubit kinds -> 1, two-qubit -> 2.
+CHANNEL_OF_KIND = {**dict.fromkeys(ONE_QUBIT_KINDS, 1), "IDLE": 0,
+                   **dict.fromkeys(TWO_QUBIT_KINDS, 2)}
+
 _SQ2 = math.sqrt(0.5)
 _T_PHASE = cmath.exp(0.25j * math.pi)
 

@@ -1,9 +1,10 @@
 """The batched trajectory loop against the serial oracle, bit for bit.
 
-``mean_over_trajectories`` runs the noisy trajectories as rows of
-blocks; the oracle runs each one alone with ``run_with_insertions``.
-The observable hashes every byte of the final state, so one differing
-bit in any row changes the mean.
+``mean_over_trajectories`` runs the ideal run and the noisy trajectories
+as rows of blocks; the oracle runs every trajectory alone with
+``run_with_insertions``, also those that drew no insertion.  The
+observable hashes every byte of the final state, so one differing bit in
+any row, the ideal row included, changes the mean.
 """
 
 import hashlib
@@ -20,6 +21,7 @@ from qfeas.sim.engine import (
     NoiseModel,
     mean_over_trajectories,
     noise_sites,
+    run_ideal,
     run_with_insertions,
     sample_insertions,
 )
@@ -27,8 +29,6 @@ from qfeas.sim.gates import ONE_QUBIT_KINDS, Gate
 
 
 def _state_hash(state):
-    if state is None:
-        return -1.0
     return float(int.from_bytes(hashlib.sha256(state.tobytes()).digest()[:6], "big"))
 
 
@@ -73,16 +73,19 @@ def circuits(draw):
 def test_batched_loop_matches_serial_oracle(circuit, eps, n_traj, seed, rows, slack):
     noise = NoiseModel(ErrorBudget(*eps))
     sites = noise_sites(circuit, noise)
-    values = []
-    for i in range(n_traj):
-        insertions = sample_insertions(sites, seed + i)
-        values.append(_state_hash(run_with_insertions(circuit, insertions)
-                                  if insertions else None))
-    values = np.array(values, dtype=np.float64)
+    values = np.array([_state_hash(run_with_insertions(
+        circuit, sample_insertions(sites, seed + i))) for i in range(n_traj)])
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
 
+    ideals = set()
+
+    def observe(ideal, state):
+        ideals.add(_state_hash(ideal))
+        return _state_hash(state)
+
     row_bytes = 16 << circuit.n_qubits
     with mock.patch.object(engine, "_BATCH_BYTES", rows * row_bytes + slack):
-        got = mean_over_trajectories(circuit, noise, n_traj, seed, _state_hash)
+        got = mean_over_trajectories(circuit, noise, n_traj, seed, observe)
     assert (got[0].hex(), got[1].hex()) == (mean.hex(), std_error.hex())
+    assert ideals == {_state_hash(run_ideal(circuit))}

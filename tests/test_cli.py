@@ -1,11 +1,12 @@
 """Command-line front end: subcommands, exit codes, output formats."""
 
 import json
+import sys
 
 import pytest
 import yaml
 
-from qfeas.cli import main
+from qfeas.cli import entry_point, main
 from qfeas.scenario import parse_scenario
 
 SHOR_2048 = """
@@ -75,6 +76,10 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def machine(capsys, argv):
@@ -284,15 +289,32 @@ class TestOutputContract:
         assert err.startswith("qfeas: error: two-qubit count is beyond the float range")
 
     def test_zero_yield_is_strict_json(self, tmp_path, capsys):
-        def reject(name):
-            raise ValueError(f"non-finite JSON constant {name}")
-
         text = "hardware: {preset: sc-2020, yield_p: 0.0}\nalgorithm: {kind: shor, size: 2048}\n"
         code = main(["estimate", write(tmp_path, "y.yaml", text), "--format", "machine"])
         assert code == 2
-        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert doc["scaling"]["yield"]["log_value"] is None
         assert doc["scaling"]["yield"]["underflowed"] is True
+
+    @pytest.mark.parametrize("count, extra", [
+        ("1000000000000000", []),
+        ("200", ["--trajectories", "1000000000000000"]),
+    ], ids=["scenario", "flag"])
+    def test_unholdable_trajectory_count_exits_1(self, tmp_path, capsys, count, extra):
+        # 10**15 float64 values are 7 PiB, beyond any 64-bit address space
+        text = SIM_RANDOM.replace("trajectories: 200", f"trajectories: {count}")
+        assert main(["simulate", write(tmp_path, "t.yaml", text)] + extra) == 1
+        assert capsys.readouterr().err.startswith("qfeas: error: Unable to allocate")
+
+
+class TestEntryPoint:
+    def test_console_script_exits_with_main_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["qfeas", "presets", "--format", "machine"])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert "sc-2020" in doc["presets"]
 
 
 class TestOutputFile:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qfeas import ErrorBudget
+from qfeas import CHANNELS, ErrorBudget
 from qfeas.sim import (
     BadTargetError,
     Circuit,
@@ -38,6 +38,7 @@ from qfeas.sim import (
     zero_state,
 )
 from qfeas.sim.engine import noise_sites
+from qfeas.sim.gates import ONE_QUBIT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Gate
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -180,6 +181,17 @@ class TestTrajectories:
         assert len(noise_sites(c, NoiseModel(ErrorBudget(eps0=0.1)))) == 1
         assert len(noise_sites(c, NoiseModel(ErrorBudget()))) == 0
 
+    @pytest.mark.parametrize("kind", ONE_QUBIT_KINDS + TWO_QUBIT_KINDS)
+    def test_sites_and_counts_share_the_channel_rule(self, kind):
+        gate = Gate(kind, (0, 1) if kind in TWO_QUBIT_KINDS else (0,),
+                    0.5 if kind in PARAMETRIC_KINDS else None)
+        circuit = Circuit(2, (gate,))
+        for channel in range(3):
+            rates = [0.0, 0.0, 0.0]
+            rates[channel] = 0.1
+            sites = noise_sites(circuit, NoiseModel(ErrorBudget(*rates)))
+            assert len(sites) == circuit.counts().count(CHANNELS[channel])
+
     def test_pauli_pair_table(self):
         assert len(PAULI_PAIRS) == 15
         assert ("I", "I") not in PAULI_PAIRS
@@ -247,6 +259,12 @@ class TestEstimateFidelity:
     def test_single_trajectory_has_no_spread(self):
         est = estimate_fidelity(random_circuit(3, 5, 1), NoiseModel(ErrorBudget(eps2=0.5)), 1, 9)
         assert est.std_error == 0.0
+
+    def test_noiseless_run_draws_nothing(self):
+        # 10**15 trajectories would need petabytes if anything were drawn
+        est = estimate_fidelity(random_circuit(3, 5, 1), NoiseModel(ErrorBudget()),
+                                10 ** 15, 0)
+        assert (est.mean, est.std_error) == (1.0, 0.0)
 
     def test_requires_at_least_one_trajectory(self):
         with pytest.raises(ValueError):

@@ -125,6 +125,14 @@ class TestNoisyGrover:
         args = (4, "0110", 3, NoiseModel(ErrorBudget(eps2=0.005)), 150, 11)
         assert grover_success_probability(*args) == grover_success_probability(*args)
 
+    def test_idle_noise_alone_is_the_noiseless_result(self):
+        # grover circuits have no IDLE gate, so eps0 puts no site on them
+        clean = grover_success_probability(3, "101", 2, NoiseModel(ErrorBudget()), 1000, 0)
+        idle_only = grover_success_probability(
+            3, "101", 2, NoiseModel(ErrorBudget(eps0=0.01)), 1000, 0)
+        assert idle_only == clean
+        assert idle_only.std_error == 0.0
+
     def test_requires_a_trajectory(self):
         with pytest.raises(ValueError):
             grover_success_probability(3, "111", 1, NoiseModel(ErrorBudget()), 0, 0)
