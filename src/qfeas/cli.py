@@ -282,9 +282,12 @@ def _render(doc: dict, fmt: str) -> str:
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    print(_render(doc, args.format))
+    # Rendered first in every format, so a document that is not strict
+    # JSON fails the same way whatever goes to stdout.
+    text = _render(doc, "machine")
+    print(text if args.format == "machine" else _render(doc, args.format))
     if args.output:
-        Path(args.output).write_text(_render(doc, "machine") + "\n", encoding="ascii")
+        Path(args.output).write_text(text + "\n", encoding="ascii")
 
 
 def _load_scenario(path: str) -> Scenario:
@@ -299,17 +302,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = _load_scenario(args.scenario)
-    sim = scenario.simulation
-    if sim is not None and (args.seed is not None or args.trajectories is not None):
-        updates = {}
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if args.trajectories is not None:
-            if args.trajectories < 1:
-                raise ScenarioValidationError("--trajectories must be >= 1")
-            updates["trajectories"] = args.trajectories
-        scenario = dataclasses.replace(
-            scenario, simulation=dataclasses.replace(sim, **updates))
+    overrides = {key: value for key in ("seed", "trajectories")
+                 if (value := getattr(args, key)) is not None}
+    if scenario.simulation is not None and overrides:
+        # SimulationSettings checks the overrides as it checks the file's keys
+        scenario = dataclasses.replace(scenario, simulation=dataclasses.replace(
+            scenario.simulation, **overrides))
     doc = run_simulate(scenario)
     _emit(doc, args)
     return 0

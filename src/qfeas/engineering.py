@@ -107,8 +107,10 @@ def cryo_budget(n_total: int | float, dissipation_per_qubit: float,
         raise ValueError("n_total and dissipation_per_qubit must be >= 0")
     if n_total == 0:
         return CryoBudget(0, 0.0)
-    load = n_total * dissipation_per_qubit
-    fridges = max(1, math.ceil(load / cryo.cooling_power_cold))
+    load = n_total * dissipation_per_qubit / cryo.cooling_power_cold
+    if not math.isfinite(load):
+        raise ValueError("fridge count is beyond the float range (about 1.8e308)")
+    fridges = max(1, math.ceil(load))
     return CryoBudget(fridges, fridges * cryo.wall_power_per_fridge)
 
 

@@ -23,12 +23,12 @@ Example::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache
 
 import yaml
 
-from .algorithms import KINDS, AlgorithmSpec
+from .algorithms import AlgorithmSpec
 from .engineering import CryoProfile
 from .model import CHANNELS, ErrorBudget, HardwareProfile
 from .presets import get_preset
@@ -43,6 +43,13 @@ class ScenarioParseError(ValueError):
 
 class ScenarioValidationError(ValueError):
     """Well-formed document whose values violate an invariant."""
+
+
+def _check_int(name: str, value: object, low: int, high: int | None = None) -> None:
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,42 @@ class SimulationSettings:
     marked: str | None = None
     fit_channels: tuple[str, ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("random", "grover"):
+            raise ValueError(
+                f"kind must be 'random' or 'grover', got {self.kind!r}")
+        qubits = self.qubits
+        _check_int("qubits", qubits, 2 if self.kind == "random" else 1, MAX_QUBITS)
+        _check_int("trajectories", self.trajectories, 1)
+        _check_int("seed", self.seed, 0)
+        if self.kind == "random":
+            if not self.depths:
+                raise ValueError("depths must be a non-empty list of layer counts")
+            for i, depth in enumerate(self.depths):
+                _check_int(f"depths[{i}]", depth, 1)
+            if self.pairs_per_layer is not None:
+                _check_int("pairs_per_layer", self.pairs_per_layer, 1, qubits // 2)
+            if self.fit_channels is not None:
+                if not self.fit_channels:
+                    raise ValueError(
+                        "fit_channels must be a non-empty list of channel names")
+                bad = [c for c in self.fit_channels if c not in CHANNELS]
+                if bad:
+                    raise ValueError(f"fit_channels: unknown channels {bad}; "
+                                     f"expected from {CHANNELS}")
+                object.__setattr__(self, "fit_channels",
+                                   tuple(dict.fromkeys(self.fit_channels)))
+            return
+        if self.iterations is None:
+            object.__setattr__(self, "iterations", optimal_iterations(qubits))
+        _check_int("iterations", self.iterations, 0)
+        if self.marked is None:
+            object.__setattr__(self, "marked", "1" * qubits)
+        marked = self.marked
+        if not isinstance(marked, str) or len(marked) != qubits or set(marked) - {"0", "1"}:
+            raise ValueError(
+                f"marked must be a string of {qubits} bits, got {marked!r}")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -80,8 +123,10 @@ class Scenario:
 
 #: Where a scenario key is not the dataclass field it sets.
 _ALIASES = {"size_n": "size", "fit_channels": "fit"}
-#: Keys whose value must be an integer; every other field key takes a number.
-_INTEGER_KEYS = ("nc_max", "size")
+#: Keys whose value must be an integer; every other field key takes a
+#: number, except ``kind``, which its dataclass checks against its kinds.
+_INTEGER_KEYS = ("nc_max", "size", "qubits", "trajectories", "seed",
+                 "pairs_per_layer", "iterations")
 
 
 @cache  # fields() is slow; one entry per schema dataclass
@@ -95,15 +140,22 @@ def _section_keys(cls) -> tuple[str, ...]:
     return tuple(key for _, key in _field_keys(cls))
 
 
+@cache
+def _required_fields(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls)
+                     if f.default is MISSING and f.default_factory is MISSING)
+
+
 _NOISE_KEYS = _section_keys(ErrorBudget)
 _HARDWARE_REQUIRED = tuple(k for k in _section_keys(HardwareProfile)
                            if k not in ("name", "budget"))
 _HARDWARE_KEYS = ("preset", "name") + _NOISE_KEYS + _HARDWARE_REQUIRED
-_ALGORITHM_KEYS = _section_keys(AlgorithmSpec)
 _SIM_KEYS = _section_keys(SimulationSettings)
-_SIM_RANDOM_KEYS = tuple(k for k in _SIM_KEYS if k not in ("iterations", "marked"))
-_SIM_GROVER_KEYS = tuple(k for k in _SIM_KEYS
-                         if k not in ("depths", "pairs_per_layer", "fit"))
+_SIM_KEYS_BY_KIND = {
+    "random": tuple(k for k in _SIM_KEYS if k not in ("iterations", "marked")),
+    "grover": tuple(k for k in _SIM_KEYS
+                    if k not in ("depths", "pairs_per_layer", "fit")),
+}
 
 
 def _check_keys(node: dict, allowed: tuple[str, ...], path: str) -> None:
@@ -120,16 +172,25 @@ def _mapping(node: object, path: str) -> dict:
     return node
 
 
-def _number(node: object, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ScenarioValidationError(f"{path} must be a number, got {node!r}")
-    return node
+def _typed(types: type | tuple[type, ...], what: str):
+    """A check that a node is of ``types`` (never a bool) and returns it."""
+    def check(node: object, path: str):
+        if isinstance(node, bool) or not isinstance(node, types):
+            raise ScenarioValidationError(f"{path} must be {what}, got {node!r}")
+        return node
+    return check
 
 
-def _integer(node: object, path: str) -> int:
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ScenarioValidationError(f"{path} must be an integer, got {node!r}")
-    return node
+_number = _typed((int, float), "a number")
+_integer = _typed(int, "an integer")
+_string = _typed(str, "a string")
+
+
+def _items(node: object, path: str, check) -> tuple:
+    """A list as a tuple, each item passed through ``check``."""
+    if not isinstance(node, list):
+        raise ScenarioValidationError(f"{path} must be a list, got {node!r}")
+    return tuple(check(item, f"{path}[{i}]") for i, item in enumerate(node))
 
 
 def _build(factory, path: str, **kwargs):
@@ -145,9 +206,17 @@ def _parse_section(node: object, cls, path: str, **checked):
     node = _mapping(node, path)
     _check_keys(node, _section_keys(cls), path)
     for name, key in _field_keys(cls):
-        if key in node and name not in checked:
-            check = _integer if key in _INTEGER_KEYS else _number
-            checked[name] = check(node[key], f"{path}.{key}")
+        if name in checked:
+            continue
+        if key in node:
+            value = node[key]
+            if key in _INTEGER_KEYS:
+                value = _integer(value, f"{path}.{key}")
+            elif key != "kind":
+                value = _number(value, f"{path}.{key}")
+            checked[name] = value
+        elif name in _required_fields(cls):
+            raise ScenarioValidationError(f"{path}.{key} is required")
     return _build(cls, path, **checked)
 
 
@@ -184,89 +253,24 @@ def _parse_hardware(node: object) -> HardwareProfile:
     return _parse_section(values, HardwareProfile, path, name=name, budget=budget)
 
 
-def _parse_algorithm(node: object) -> AlgorithmSpec:
-    path = "algorithm"
-    node = _mapping(node, path)
-    _check_keys(node, _ALGORITHM_KEYS, path)
-    for key in ("kind", "size"):
-        if key not in node:
-            raise ScenarioValidationError(f"{path}.{key} is required")
-    kind = node["kind"]
-    if kind not in KINDS:
-        raise ScenarioValidationError(
-            f"{path}.kind must be one of {KINDS}, got {kind!r}")
-    return _parse_section(node, AlgorithmSpec, path, kind=kind)
-
-
 def _parse_simulation(node: object, hardware: HardwareProfile) -> SimulationSettings:
     path = "simulation"
-    node = _mapping(node, path)
-    if node.get("kind") not in ("random", "grover"):
-        raise ScenarioValidationError(
-            f"{path}.kind must be 'random' or 'grover', got {node.get('kind')!r}")
-    kind = node["kind"]
-    allowed = _SIM_RANDOM_KEYS if kind == "random" else _SIM_GROVER_KEYS
-    _check_keys(node, allowed, path)
-    if "qubits" not in node:
-        raise ScenarioValidationError(f"{path}.qubits is required")
-    qubits = _integer(node["qubits"], f"{path}.qubits")
-    min_q = 2 if kind == "random" else 1
-    if not min_q <= qubits <= MAX_QUBITS:
-        raise ScenarioValidationError(
-            f"{path}.qubits must lie in [{min_q}, {MAX_QUBITS}], got {qubits}")
-    noise = hardware.budget
+    node = dict(_mapping(node, path))
+    # Any other kind (str() also makes a YAML list hashable) may carry the
+    # keys of both kinds, so that SimulationSettings reports the kind.
+    _check_keys(node, _SIM_KEYS_BY_KIND.get(str(node.get("kind")), _SIM_KEYS), path)
+    checked = {"noise": hardware.budget}
     if node.get("noise") is not None:
-        noise = _parse_section(node["noise"], ErrorBudget, f"{path}.noise")
-    trajectories = _integer(node.get("trajectories", 1000), f"{path}.trajectories")
-    if trajectories < 1:
-        raise ScenarioValidationError(f"{path}.trajectories must be >= 1")
-    seed = _integer(node.get("seed", 0), f"{path}.seed")
-    if seed < 0:
-        raise ScenarioValidationError(f"{path}.seed must be >= 0")
-
-    depths = pairs = iterations = marked = fit_channels = None
-    if kind == "random":
-        raw_depths = node.get("depths")
-        if not isinstance(raw_depths, list) or not raw_depths:
-            raise ScenarioValidationError(
-                f"{path}.depths must be a non-empty list of layer counts")
-        depths = tuple(_integer(d, f"{path}.depths[{i}]")
-                       for i, d in enumerate(raw_depths))
-        if any(d < 1 for d in depths):
-            raise ScenarioValidationError(f"{path}.depths entries must be >= 1")
-        if "pairs_per_layer" in node:
-            pairs = _integer(node["pairs_per_layer"], f"{path}.pairs_per_layer")
-            if not 1 <= pairs <= qubits // 2:
-                raise ScenarioValidationError(
-                    f"{path}.pairs_per_layer must lie in [1, {qubits // 2}]")
-        if "fit" in node:
-            raw_fit = node["fit"]
-            if not isinstance(raw_fit, list) or not raw_fit:
-                raise ScenarioValidationError(
-                    f"{path}.fit must be a non-empty list of channel names")
-            bad = [c for c in raw_fit if c not in CHANNELS]
-            if bad:
-                raise ScenarioValidationError(
-                    f"{path}.fit: unknown channels {bad}; expected from {CHANNELS}")
-            fit_channels = tuple(dict.fromkeys(raw_fit))
-    else:
-        iterations = node.get("iterations")
-        if iterations is None:
-            iterations = optimal_iterations(qubits)
-        else:
-            iterations = _integer(iterations, f"{path}.iterations")
-            if iterations < 0:
-                raise ScenarioValidationError(f"{path}.iterations must be >= 0")
-        marked = node.get("marked", "1" * qubits)
-        if (not isinstance(marked, str) or len(marked) != qubits
-                or set(marked) - {"0", "1"}):
-            raise ScenarioValidationError(
-                f"{path}.marked must be a string of {qubits} bits, got {marked!r}")
-
-    return SimulationSettings(
-        kind=kind, qubits=qubits, noise=noise, trajectories=trajectories,
-        seed=seed, depths=depths, pairs_per_layer=pairs,
-        iterations=iterations, marked=marked, fit_channels=fit_channels)
+        checked["noise"] = _parse_section(node["noise"], ErrorBudget, f"{path}.noise")
+    if node.get("iterations", 0) is None:
+        del node["iterations"]  # null means the optimal count
+    if "marked" in node:
+        checked["marked"] = _string(node["marked"], f"{path}.marked")
+    if "depths" in node:
+        checked["depths"] = _items(node["depths"], f"{path}.depths", _integer)
+    if "fit" in node:
+        checked["fit_channels"] = _items(node["fit"], f"{path}.fit", _string)
+    return _parse_section(node, SimulationSettings, path, **checked)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -288,7 +292,7 @@ def parse_scenario(text: str) -> Scenario:
         if key not in doc:
             raise ScenarioValidationError(f"{key!r} section is required")
     hardware = _parse_hardware(doc["hardware"])
-    algorithm = _parse_algorithm(doc["algorithm"])
+    algorithm = _parse_section(doc["algorithm"], AlgorithmSpec, "algorithm")
     qec = _parse_section(doc.get("qec", {}), QecCode, "qec")
     cryo = _parse_section(doc.get("cryo", {}), CryoProfile, "cryo")
     simulation = None

@@ -188,20 +188,9 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     return out
 
 
-def _initial_state(circuit: Circuit, initial: QuantumState | None) -> np.ndarray:
-    if initial is None:
-        return zero_state(circuit.n_qubits)
-    state = np.array(initial, dtype=np.complex128)
-    if _register_width(state) != circuit.n_qubits:
-        raise ValueError(
-            f"initial state has {_register_width(state)} qubits, "
-            f"circuit has {circuit.n_qubits}")
-    return state
-
-
-def run_ideal(circuit: Circuit, initial: QuantumState | None = None) -> QuantumState:
-    """Left-to-right noiseless application of the whole circuit."""
-    state = _initial_state(circuit, initial)
+def run_ideal(circuit: Circuit) -> QuantumState:
+    """Left-to-right noiseless application of the whole circuit to |0...0>."""
+    state = zero_state(circuit.n_qubits)
     for gate in circuit.gates:
         _apply_inplace(state, gate, circuit.n_qubits)
     return state
@@ -240,10 +229,10 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
     return insertions
 
 
-def run_with_insertions(circuit: Circuit, insertions: _Insertions,
-                        initial: QuantumState | None = None) -> QuantumState:
-    """Run the circuit applying each insertion right after its gate."""
-    state = _initial_state(circuit, initial)
+def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
+    """Run the circuit from |0...0>, applying each insertion right after
+    its gate."""
+    state = zero_state(circuit.n_qubits)
     n = circuit.n_qubits
     for i, gate in enumerate(circuit.gates):
         _apply_inplace(state, gate, n)
@@ -254,11 +243,10 @@ def run_with_insertions(circuit: Circuit, insertions: _Insertions,
     return state
 
 
-def run_trajectory(circuit: Circuit, noise: NoiseModel, seed: int,
-                   initial: QuantumState | None = None) -> QuantumState:
+def run_trajectory(circuit: Circuit, noise: NoiseModel, seed: int) -> QuantumState:
     """One stochastic realization; identical seed gives identical bits."""
     insertions = sample_insertions(noise_sites(circuit, noise), seed)
-    return run_with_insertions(circuit, insertions, initial)
+    return run_with_insertions(circuit, insertions)
 
 
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:

@@ -84,10 +84,17 @@ def fit_error_rates(observations: Sequence[tuple[OpCounts, float]],
 
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     residuals = y - design @ coef
-    ssr = float(residuals @ residuals)
     dof = len(observations) - k
-    sigma2 = ssr / dof if dof > 0 else 0.0
-    covariance = sigma2 * np.linalg.inv(design.T @ design)
+    # Counts or log-fidelities near the float limit overflow the normal
+    # matrix or the residual sum; that is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ssr = float(residuals @ residuals)
+        sigma2 = ssr / dof if dof > 0 else 0.0
+        covariance = sigma2 * np.linalg.inv(design.T @ design)
+    if not np.isfinite(covariance).all():
+        raise ValueError(
+            "the fit's covariance is not finite: the counts or log-fidelities "
+            "are too large for float64")
     std = np.sqrt(np.maximum(np.diag(covariance), 0.0))
 
     return FitResult(

@@ -190,6 +190,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "simulation" in err
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--trajectories", "0")])
+    def test_bad_override_fails_before_any_trajectory(self, tmp_path, capsys, monkeypatch,
+                                                      flag, value):
+        def no_run(scenario):
+            raise AssertionError("simulated with an invalid override")
+        monkeypatch.setattr("qfeas.cli.run_simulate", no_run)
+        path = write(tmp_path, "n.yaml", SIM_GROVER)
+        assert main(["simulate", path, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"qfeas: error: {flag[2:]} must be") and err.count("\n") == 1
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "n.yaml", SIM_RANDOM)
         main(["simulate", path, "--format", "machine"])
@@ -295,6 +306,26 @@ class TestOutputContract:
         doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert doc["scaling"]["yield"]["log_value"] is None
         assert doc["scaling"]["yield"]["underflowed"] is True
+
+    @pytest.mark.parametrize("extra", [["--format", "table"], ["--format", "machine"],
+                                       ["--output", "out.json"]])
+    def test_non_finite_document_fails_in_every_format(self, tmp_path, capsys,
+                                                      monkeypatch, extra):
+        # a runtime of 1e+16 gates x 1e+300 s is inf, which strict JSON cannot hold
+        text = ("hardware: {preset: sc-2020, gate_time_2q: 1.0e+300}\n"
+                "algorithm: {kind: shor, size: 100000}\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["estimate", write(tmp_path, "inf.yaml", text)] + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "out.json").exists()
+        assert err.startswith("qfeas: error: ") and err.count("\n") == 1
+
+    def test_non_finite_fit_fails_in_every_format(self, tmp_path, capsys):
+        data = "1e200 1e200 0 -1\n1e200 2e200 0 -2\n3e200 1e200 0 -2\n"
+        path = write(tmp_path, "d.txt", data)
+        for fmt in ("table", "machine"):
+            assert main(["fit", path, "--format", fmt]) == 1
+            assert "covariance is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("count, extra", [
         ("1000000000000000", []),

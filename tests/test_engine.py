@@ -133,8 +133,7 @@ class TestApplyGate:
 
 class TestRunIdeal:
     def test_empty_circuit(self):
-        init = random_state(2, 9)
-        np.testing.assert_array_equal(run_ideal(Circuit(2, ()), init), init)
+        np.testing.assert_array_equal(run_ideal(Circuit(2, ())), zero_state(2))
 
     def test_hadamard_is_self_inverse(self):
         out = run_ideal(Circuit(1, (h(0), h(0))))

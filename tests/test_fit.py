@@ -1,6 +1,7 @@
 """Least-squares recovery of per-channel error rates from log-fidelity data."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -106,3 +107,24 @@ class TestDegenerateInputs:
         obs = [(OpCounts(n2=10), 0.05), (OpCounts(n2=20), -0.02)]
         with pytest.raises(ValueError):
             fit_error_rates(obs, ["two_qubit"])
+
+    def test_covariance_beyond_float_range_rejected(self):
+        # the normal matrix of counts near 1e200 overflows float64
+        obs = [(OpCounts(1e200, 1e200, 0), -1.0), (OpCounts(1e200, 2e200, 0), -2.0),
+               (OpCounts(3e200, 1e200, 0), -2.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="covariance is not finite"):
+                fit_error_rates(obs, ["idle", "one_qubit"])
+
+
+def test_ordinary_fit_keeps_its_bits():
+    obs = [(OpCounts(50, 0, 50), -0.11), (OpCounts(100, 0, 100), -0.21),
+           (OpCounts(0, 0, 200), -0.405), (OpCounts(30, 20, 10), -0.07)]
+    result = fit_error_rates(obs)
+    assert {c: (result.rates[c].hex(), result.std_errors[c].hex()) for c in CHANNELS} == {
+        "idle": ("0x1.8e757928e0c88p-14", "0x1.806a104f1004cp-15"),
+        "one_qubit": ("0x1.335d249e44f9dp-9", "0x1.e7c8fd26b5dd2p-13"),
+        "two_qubit": ("0x1.096bb98c7e284p-9", "0x1.7726636ae6e7ep-16"),
+    }
+    assert result.residual_norm.hex() == "0x1.2515fdab84652p-8"

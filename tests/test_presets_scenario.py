@@ -11,6 +11,7 @@ from qfeas.scenario import (
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
+    SimulationSettings,
     hardware_to_dict,
     parse_scenario,
     scenario_to_dict,
@@ -177,6 +178,32 @@ simulation: {kind: random, qubits: 4, depths: [10]}
     def test_grover_block_rejects_random_keys(self):
         with pytest.raises(ScenarioParseError, match="depths"):
             parse_scenario(MINIMAL + "simulation: {kind: grover, qubits: 4, depths: [10]}\n")
+        with pytest.raises(ScenarioParseError, match="'simulation.fit'"):
+            parse_scenario(MINIMAL + "simulation: {kind: grover, qubits: 4, fit: [idle]}\n")
+
+    @pytest.mark.parametrize("key, default", [("noise", ErrorBudget(eps2=1e-3)),
+                                              ("iterations", 3)])
+    def test_null_means_the_default(self, key, default):
+        s = parse_scenario(MINIMAL + f"simulation: {{kind: grover, qubits: 4, {key}: null}}\n")
+        assert getattr(s.simulation, key) == default
+
+    @pytest.mark.parametrize("key", ["marked", "trajectories", "seed", "qubits"])
+    def test_null_is_rejected(self, key):
+        with pytest.raises(ScenarioValidationError, match=rf"simulation\.{key} must be a"):
+            parse_scenario(MINIMAL + f"simulation: {{kind: grover, qubits: 4, {key}: null}}\n")
+
+    def test_unknown_kind_is_named_before_its_keys(self):
+        with pytest.raises(ScenarioValidationError, match="kind must be 'random' or 'grover'"):
+            parse_scenario(MINIMAL + "simulation: {kind: bogus, qubits: 4, depths: [10]}\n")
+
+    @pytest.mark.parametrize("block, message", [
+        ("{size: 4}", "algorithm.kind is required"),
+        ("{kind: shor}", "algorithm.size is required"),
+        ("{kind: annealing, size: 4}", "algorithm: kind must be one of"),
+    ])
+    def test_algorithm_required_keys_and_kind(self, block, message):
+        with pytest.raises(ScenarioValidationError, match=message):
+            parse_scenario(f"hardware: sc-2020\nalgorithm: {block}\n")
 
     def test_fit_channels_validated(self):
         with pytest.raises(ScenarioValidationError, match="fit"):
@@ -191,6 +218,29 @@ simulation:
     def test_qubit_ceiling(self):
         with pytest.raises(ScenarioValidationError):
             parse_scenario(MINIMAL + "simulation: {kind: random, qubits: 17, depths: [10]}\n")
+
+
+class TestSimulationSettings:
+    def test_defaults_resolved_by_the_dataclass(self):
+        sim = SimulationSettings(kind="grover", qubits=5, noise=ErrorBudget())
+        assert (sim.iterations, sim.marked) == (4, "11111")
+        sim = SimulationSettings(kind="random", qubits=4, noise=ErrorBudget(), depths=(5,),
+                                 fit_channels=("two_qubit", "idle", "two_qubit"))
+        assert sim.fit_channels == ("two_qubit", "idle")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"trajectories": 0}, "trajectories must be an integer >= 1, got 0"),
+        ({"qubits": 1}, r"qubits must be an integer in \[2, 16\], got 1"),
+        ({"depths": (5, 0)}, r"depths\[1\] must be an integer >= 1, got 0"),
+        ({"pairs_per_layer": 3}, r"pairs_per_layer must be an integer in \[1, 2\]"),
+        ({"fit_channels": ()}, "fit_channels must be a non-empty list"),
+        ({"kind": "bogus"}, "kind must be 'random' or 'grover'"),
+    ])
+    def test_replace_checks_every_invariant(self, changes, message):
+        sim = SimulationSettings(kind="random", qubits=4, noise=ErrorBudget(), depths=(5,))
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(sim, **changes)
 
 
 class TestRoundTrip:
