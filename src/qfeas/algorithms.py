@@ -46,7 +46,10 @@ def _as_count(value: int | float, factor: float | None = None) -> int | float:
         if factor is None:
             return value if value < _INT_LIMIT else float(value)
         count = factor * value
-        float(count)  # only a range check: an int product stays exact
+        # Only a range check, and an int product stays exact: a huge int
+        # raises OverflowError here, and a float product overflows to inf.
+        if not math.isfinite(count):
+            raise OverflowError
         return count
     except OverflowError:
         raise ValueError("two-qubit count is beyond the float range "

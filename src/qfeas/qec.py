@@ -10,17 +10,38 @@ exponentially suppressed correctable part (only meaningful below the
 threshold eps_th); the second is the non-correctable floor, which grows
 with block size and caps the achievable gain.
 
-Code-size selection is an exhaustive integer scan: it is exact, cheap
-(at most nc_max evaluations) and immune to the non-smooth minimum.  The
-early exits below are provably equivalent to the full scan, because the
-floor term is monotone in n_c under IEEE rounding.
+Code-size selection returns what a scan of every n_c in [1, nc_max]
+would return from ``logical_error_rate`` (the first minimum, ties toward
+the smaller size; the first size at or below a target), but evaluates
+eps_L O(log nc_max) times.  Write r = eps2/eps_th and s = B * eps_nc.
+
+* With s = 0, eps_L never increases with n_c, so both answers are the
+  first size at or below a level, found by bisection.
+* With s > 0, eps_L is convex in n_c.  Its minimum lies next to the
+  stationary point of A r^x + s x^2 in x = sqrt(n_c), solved on the log
+  scale without evaluating eps_L.  A window grows from there, one size
+  at a time, until each edge is worse than the best size inside by more
+  than twice the rounding error of eps_L (convexity then rules out every
+  size beyond it), or, on the right, until the floor term alone reaches
+  the best value.  The first minimum inside the window is the answer.
+  The first size at or below a target comes from a bisection with the
+  same margin, then a short walk through the sizes inside it.
+
+The margin assumes IEEE-754 doubles and a ``pow`` good to an ulp.  The
+window is a few sizes wide in practice; it widens only where eps_L is
+flat to within rounding, as when eps_nc is subnormal.
+
+Known, kept behaviour: with eps_nc = 0 the correctable term underflows
+to 0.0 at some size, and the first such size counts as the optimum.  So
+the floor depends on nc_max: sc-2020 with shor-2048 and eps_nc 0
+reports a floor of 5.918804e-317 at nc_max 10^5 and 0.0 at 10^7.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class AboveThresholdError(ValueError):
@@ -36,11 +57,11 @@ class QecCode:
     """Code family parameters and overhead multipliers.
 
     ``eps_nc`` is the non-correctable error rate per physical qubit per
-    logical operation; ``nc_max`` bounds the code sizes considered in
-    scans.  ``ops_per_logical_gate`` collapses gate synthesis,
-    distillation and syndrome cycles into one physical-ops-per-logical-
-    gate multiplier; ``factory_overhead`` multiplies the physical qubit
-    count for magic-state factories.
+    logical operation; ``nc_max`` bounds the code sizes considered.
+    ``ops_per_logical_gate`` collapses gate synthesis, distillation and
+    syndrome cycles into one physical-ops-per-logical-gate multiplier;
+    ``factory_overhead`` multiplies the physical qubit count for
+    magic-state factories.
     """
 
     eps_th: float = 0.01
@@ -84,8 +105,8 @@ class CodeOptimum(NamedTuple):
 
 
 class FloorValue(float):
-    """error_floor result; ``nc_limited`` is True when the scan stopped
-    at nc_max while still improving, so a larger nc_max could do better."""
+    """error_floor result; ``nc_limited`` is True when the minimum sits at
+    nc_max itself, so a larger nc_max could do better."""
 
     nc_limited: bool
 
@@ -102,8 +123,8 @@ def logical_error_rate(eps2: float, code: QecCode, n_c: int) -> float:
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c!r}")
     correctable = code.correctable_prefactor * (eps2 / code.eps_th) ** math.sqrt(n_c)
-    # Keep the floor term's evaluation order identical to the scan
-    # bounds in optimal_code_size / required_code_size.
+    # The floor term is (floor_prefactor * eps_nc) * n_c: code-size
+    # selection reads that first product as the floor's slope.
     return correctable + code.floor_prefactor * code.eps_nc * n_c
 
 
@@ -116,27 +137,119 @@ def _check_below_threshold(eps2: float, code: QecCode) -> None:
             "error correction gains nothing from larger codes")
 
 
+def _first_at_or_below(eps2: float, code: QecCode, level: float,
+                       cutoff: float, n_c: int, value: float) -> CodeOptimum:
+    """First size whose eps_L is at or below ``level``, given a size
+    ``n_c`` at or below it whose eps_L is ``value``.
+
+    Bisects for the first size at or below ``cutoff >= level``, then
+    walks up to ``level``.  Exact when eps_L never increases up to n_c
+    (``cutoff == level``), or when it is convex and ``cutoff - level`` is
+    at least twice its rounding error: the size just below the bisection
+    point is then above the cutoff, so every smaller size is above the
+    level.
+    """
+    lo = 0
+    while n_c - lo > 1:
+        mid = (lo + n_c) // 2
+        v = logical_error_rate(eps2, code, mid)
+        if v <= cutoff:
+            n_c, value = mid, v
+        else:
+            lo = mid
+    while not value <= level:
+        n_c += 1
+        value = logical_error_rate(eps2, code, n_c)
+    return CodeOptimum(n_c, value)
+
+
+def _rounding_margin(eps2: float, code: QecCode) -> Callable[[float], float]:
+    """``level -> margin``: twice a bound on how far logical_error_rate,
+    near ``level``, can sit from the real-valued law.
+
+    Each operation is good to half an ulp and ``pow`` to one, but
+    rounding sqrt(n_c) moves the power by |ln r| sqrt(n_c) half-ulps (at
+    most ~745 + ln A before it underflows), and a subnormal power is off
+    by up to A smallest subnormals.  The bound is doubled for safety.
+    """
+    ratio = eps2 / code.eps_th
+    a = code.correctable_prefactor
+    spread = 0.0 if ratio == 0.0 else min(
+        -math.log(ratio) * math.sqrt(code.nc_max), 745.0 + max(0.0, math.log(a)))
+    relative, absolute = 2.0 * (8.0 + spread) * 2.0 ** -52, 2.0 * (a + 2.0) * 5e-324
+    return lambda level: relative * level + absolute
+
+
+def _stationary_size(eps2: float, code: QecCode, slope: float) -> int:
+    """Integer part of x*^2, clamped to [1, nc_max], where x* > 0 is the
+    stationary point of A r^x + s x^2.
+
+    x* solves ln(A |ln r|) + x ln r - ln(2 s x) = 0, whose left side
+    falls as x grows; it is bisected on the log scale.
+    """
+    ratio = eps2 / code.eps_th
+    if ratio == 0.0:
+        return 1
+    log_r = math.log(ratio)
+    offset = (math.log(code.correctable_prefactor) + math.log(-log_r)
+              - math.log(2.0) - math.log(slope))
+    lo, hi = 1.0, math.sqrt(code.nc_max)
+    if offset + lo * log_r - math.log(lo) <= 0.0:
+        return 1
+    if offset + hi * log_r - math.log(hi) >= 0.0:
+        return code.nc_max
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if offset + mid * log_r - math.log(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return min(max(int(lo * lo), 1), code.nc_max)
+
+
+def _convex_minimum(eps2: float, code: QecCode, slope: float) -> CodeOptimum:
+    """First minimum of eps_L when its floor term is positive."""
+    start = _stationary_size(eps2, code, slope)
+    values = {start: logical_error_rate(eps2, code, start)}
+    best = values[start]
+    margin = _rounding_margin(eps2, code)
+
+    def widen(n_c: int, step: int) -> int:
+        nonlocal best
+        while 1 <= n_c + step <= code.nc_max:
+            if step > 0 and slope * (n_c + step) >= best:
+                break  # the floor term alone is no better from here on
+            value = logical_error_rate(eps2, code, n_c + step)
+            if value > best + margin(best):
+                break
+            n_c += step
+            values[n_c] = value
+            best = min(best, value)
+        return n_c
+
+    lo, hi = widen(start, -1), widen(start, 1)
+    n_c = min(range(lo, hi + 1), key=values.__getitem__)
+    return CodeOptimum(n_c, values[n_c])
+
+
 def optimal_code_size(eps2: float, code: QecCode) -> CodeOptimum:
     """Block size in [1, nc_max] minimizing eps_L, ties toward smaller.
 
-    Equivalent to the exhaustive scan by construction: the loop only
-    skips n_c whose floor term alone is already at or above the best
-    value seen (the floor term never decreases with n_c, and the
-    correctable term is non-negative).
+    Returns what an exhaustive scan of logical_error_rate would, from
+    O(log nc_max) evaluations (see the module docstring).
     """
     _check_below_threshold(eps2, code)
-    floor_slope = code.floor_prefactor * code.eps_nc
-    best_nc = 1
-    best = logical_error_rate(eps2, code, 1)
-    for n_c in range(2, code.nc_max + 1):
-        if best == 0.0:
-            break  # nothing beats an exact zero; ties keep the smaller n_c
-        if floor_slope > 0.0 and floor_slope * n_c >= best:
-            break
-        value = logical_error_rate(eps2, code, n_c)
-        if value < best:
-            best_nc, best = n_c, value
-    return CodeOptimum(best_nc, best)
+    first = logical_error_rate(eps2, code, 1)
+    if not first < math.inf:
+        # An infinite prefactor or floor slope: no size gets below inf,
+        # and nan never wins a comparison.
+        return CodeOptimum(1, first)
+    slope = code.floor_prefactor * code.eps_nc
+    if slope > 0.0:
+        return _convex_minimum(eps2, code, slope)
+    last = logical_error_rate(eps2, code, code.nc_max)
+    return _first_at_or_below(eps2, code, last, last, code.nc_max, last)
 
 
 def error_floor(eps2: float, code: QecCode) -> FloorValue:
@@ -154,24 +267,26 @@ _TARGET_SLACK = 1e-12
 def required_code_size(eps2: float, code: QecCode, target_eps_l: float) -> int:
     """Smallest block size whose eps_L is at or below the target.
 
-    Raises :class:`FloorUnreachableError` when no n_c in [1, nc_max]
-    reaches the target (the non-correctable floor, or the scan bound,
-    is in the way) and :class:`AboveThresholdError` at or above
-    threshold.
+    Returns what a scan of logical_error_rate from n_c = 1 up would,
+    from O(log nc_max) evaluations: below the minimum's size eps_L
+    falls (see the module docstring).  Raises
+    :class:`FloorUnreachableError` when no n_c in [1, nc_max] reaches
+    the target (the non-correctable floor, or nc_max, is in the way)
+    and :class:`AboveThresholdError` at or above threshold.
     """
     _check_below_threshold(eps2, code)
     if not target_eps_l >= 0:
         raise ValueError(f"target_eps_l must be >= 0, got {target_eps_l!r}")
     target = target_eps_l * (1.0 + _TARGET_SLACK)
-    floor_slope = code.floor_prefactor * code.eps_nc
-    for n_c in range(1, code.nc_max + 1):
-        if floor_slope > 0.0 and floor_slope * n_c > target:
-            break  # the floor term alone already exceeds the target from here on
-        if logical_error_rate(eps2, code, n_c) <= target:
-            return n_c
-    raise FloorUnreachableError(
-        f"no code size in [1, {code.nc_max}] reaches eps_L <= {target_eps_l!r} "
-        f"at eps2={eps2!r} (floor {float(error_floor(eps2, code)):.4g})")
+    best = optimal_code_size(eps2, code)
+    if not best.eps_l <= target:
+        raise FloorUnreachableError(
+            f"no code size in [1, {code.nc_max}] reaches eps_L <= {target_eps_l!r} "
+            f"at eps2={eps2!r} (floor {best.eps_l:.4g})")
+    cutoff = target
+    if code.floor_prefactor * code.eps_nc > 0.0:
+        cutoff += _rounding_margin(eps2, code)(target)
+    return _first_at_or_below(eps2, code, target, cutoff, *best).n_c
 
 
 def physical_resources(n_logical: int, n_c: int, code: QecCode) -> int | float:

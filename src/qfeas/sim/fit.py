@@ -90,7 +90,14 @@ def fit_error_rates(observations: Sequence[tuple[OpCounts, float]],
     with np.errstate(over="ignore", invalid="ignore"):
         ssr = float(residuals @ residuals)
         sigma2 = ssr / dof if dof > 0 else 0.0
-        covariance = sigma2 * np.linalg.inv(design.T @ design)
+        try:
+            covariance = sigma2 * np.linalg.inv(design.T @ design)
+        except np.linalg.LinAlgError:
+            # Counts near 1e-300 pass the rank check, but their squares
+            # underflow and leave the normal matrix singular.
+            raise RankDeficientError(
+                "the counts are too close to zero for float64: their normal "
+                "matrix underflows to a singular one; rescale them") from None
     if not np.isfinite(covariance).all():
         raise ValueError(
             "the fit's covariance is not finite: the counts or log-fidelities "

@@ -240,6 +240,12 @@ class TestFitCommand:
         assert code == 1
         assert "separate" in err
 
+    def test_underflowing_counts_exit_1_with_the_cause(self, tmp_path, capsys):
+        data = "1e-300 0 0 -1e300\n2e-300 0 0 -1e300\n"
+        assert main(["fit", write(tmp_path, "d.txt", data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qfeas: error: the counts are too close to zero")
+
 
 class TestPresetsCommand:
     def test_table_lists_all(self, capsys):
@@ -292,7 +298,10 @@ class TestOutputContract:
         "{kind: grover, size: 2100}",
         "{kind: shor, size: %d}" % 10 ** 103,
         "{kind: chemistry, size: %d}" % 10 ** 52,
-    ], ids=["grover", "shor", "chemistry"])
+        # float products overflow to inf rather than raising
+        "{kind: shor, size: 2048, routing_overhead: 1.0e+300}",
+        "{kind: chemistry, size: 30, chemistry_prefactor: 1.0e+300}",
+    ], ids=["grover", "shor", "chemistry", "routing-overhead", "chemistry-prefactor"])
     def test_count_beyond_float_range_exits_1(self, tmp_path, capsys, algorithm):
         text = f"hardware: sc-2020\nalgorithm: {algorithm}\n"
         assert main(["estimate", write(tmp_path, "big.yaml", text)]) == 1

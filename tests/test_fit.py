@@ -117,6 +117,12 @@ class TestDegenerateInputs:
             with pytest.raises(ValueError, match="covariance is not finite"):
                 fit_error_rates(obs, ["idle", "one_qubit"])
 
+    def test_underflowing_normal_matrix_is_rank_deficient(self):
+        # full rank, but the squares of counts near 1e-300 underflow to 0
+        obs = [(OpCounts(1e-300, 0, 0), -1e300), (OpCounts(2e-300, 0, 0), -1e300)]
+        with pytest.raises(RankDeficientError, match="too close to zero"):
+            fit_error_rates(obs, ["idle"])
+
 
 def test_ordinary_fit_keeps_its_bits():
     obs = [(OpCounts(50, 0, 50), -0.11), (OpCounts(100, 0, 100), -0.21),

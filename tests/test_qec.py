@@ -5,7 +5,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qfeas import qec
 from qfeas.qec import (
+    _TARGET_SLACK,
     AboveThresholdError,
     CodeOptimum,
     FloorUnreachableError,
@@ -28,6 +30,25 @@ def brute_force_optimum(eps2, code):
         if v < best:
             best_nc, best = nc, v
     return CodeOptimum(best_nc, best)
+
+
+def brute_force_required(eps2, code, target_eps_l):
+    """Reference scan for required_code_size: the first size at or below
+    the target, with the same relative slack; None when none is."""
+    target = target_eps_l * (1.0 + _TARGET_SLACK)
+    for nc in range(1, code.nc_max + 1):
+        if logical_error_rate(eps2, code, nc) <= target:
+            return nc
+    return None
+
+
+def check_required(eps2, code, target):
+    expected = brute_force_required(eps2, code, target)
+    if expected is None:
+        with pytest.raises(FloorUnreachableError):
+            required_code_size(eps2, code, target)
+    else:
+        assert required_code_size(eps2, code, target) == expected
 
 
 class TestLogicalErrorRate:
@@ -154,6 +175,88 @@ class TestRequiredCodeSize:
         # no floor, but the cap is too small for the target
         with pytest.raises(FloorUnreachableError):
             required_code_size(5e-3, QecCode(nc_max=4), 1e-9)
+
+
+class TestSearchAgainstReferenceScans:
+    """The O(log nc_max) searches against the plain scans above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.floats(min_value=1e-4, max_value=9.9e-3),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e-2)),
+        st.integers(min_value=1, max_value=600),
+        st.floats(min_value=0.5, max_value=1e8),
+    )
+    def test_required_matches_reference_scan(self, eps2, eps_nc, nc_max, scale):
+        code = QecCode(eps_nc=eps_nc, nc_max=nc_max)
+        check_required(eps2, code, scale * float(error_floor(eps2, code)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=1e-4, max_value=9.9e-3),
+        st.floats(min_value=1e-7, max_value=1e-2),
+        st.integers(min_value=1, max_value=600),
+        st.floats(min_value=1e-3, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_required_at_the_floor_with_prefactors(self, eps2, eps_nc, nc_max, a, b):
+        code = QecCode(eps_nc=eps_nc, nc_max=nc_max,
+                       correctable_prefactor=a, floor_prefactor=b)
+        floor = float(error_floor(eps2, code))
+        for target in (floor, math.nextafter(floor, 0.0), 1.5 * floor):
+            check_required(eps2, code, target)
+
+    @pytest.mark.parametrize("eps2, kwargs", [
+        (5e-3, {"nc_max": 200_000}),                          # no floor, decreasing to the cap
+        (9.9e-3, {"eps_nc": 2e-7, "nc_max": 200_000}),        # flat minimum inside
+        (1.14e-4, {"eps_nc": 5e-324, "nc_max": 119_707}),     # subnormal floor: ties
+        (3e-4, {"eps_nc": 1.5e-323, "nc_max": 50_000}),
+        (1e-5, {"nc_max": 20_000}),                           # underflows to 0.0 inside
+        (1e-5, {"eps_nc": 1e-300, "nc_max": 20_000}),
+        (2e-3, {"eps_nc": 1e-9, "nc_max": 50_000,
+                "correctable_prefactor": 0.1, "floor_prefactor": 30.0}),
+        (7e-3, {"eps_nc": 1e-10, "nc_max": 50_000,
+                "correctable_prefactor": 3.0, "floor_prefactor": 0.25}),
+        # without the rounding margin the window stops short of these minima
+        (5.3831065374419924e-06, {"eps_nc": 5e-323, "nc_max": 10_000,
+                                  "correctable_prefactor": 7.0}),
+        (7.681592997030253e-04, {"eps_nc": 5e-324, "nc_max": 200_000,
+                                 "correctable_prefactor": 0.3}),
+        # and the bisection for a target a few subnormals above the floor
+        (1.7753005083749007e-06, {"eps_nc": 5e-324, "nc_max": 10_000,
+                                  "correctable_prefactor": 7.0}),
+    ], ids=["no-floor", "flat", "subnormal-tie", "subnormal", "underflow",
+            "underflow-floor", "prefactors-a", "prefactors-b",
+            "subnormal-prefactor-a", "subnormal-prefactor-b", "subnormal-target"])
+    def test_edge_cases_match_reference_scans(self, eps2, kwargs):
+        code = QecCode(**kwargs)
+        optimum, expected = optimal_code_size(eps2, code), brute_force_optimum(eps2, code)
+        assert (optimum.n_c, optimum.eps_l.hex()) == (expected.n_c, expected.eps_l.hex())
+        floor = optimum.eps_l
+        for target in (floor, math.nextafter(floor, 0.0), 1.5 * floor,
+                       floor + 5e-324, floor + 2e-323):
+            check_required(eps2, code, target)
+
+    @pytest.mark.parametrize("eps_nc", [0.0, 1e-12])
+    def test_evaluations_grow_with_log_nc_max(self, monkeypatch, eps_nc):
+        calls = []
+        real = qec.logical_error_rate
+
+        def counted(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(qec, "logical_error_rate", counted)
+        code = QecCode(eps_nc=eps_nc, nc_max=10 ** 7)
+        floor = float(error_floor(9.9e-3, code))
+        assert 0 < len(calls) <= 200
+        for target in (1.5 * floor, 0.5 * floor):
+            calls.clear()
+            try:
+                required_code_size(9.9e-3, code, target)
+            except FloorUnreachableError:
+                assert target < floor
+            assert 0 < len(calls) <= 200
 
 
 class TestResourcesAndRuntime:
