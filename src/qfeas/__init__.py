@@ -6,115 +6,7 @@ engineering budgets, and a trajectory-based noisy state-vector
 simulator that validates the decay law empirically.
 """
 
-from .algorithms import (
-    AlgorithmSpec,
-    FeasibilityReport,
-    assess,
-    chemistry_two_qubit_count,
-    grover_sequential_runtime,
-    grover_two_qubit_count,
-    info_throughput,
-    logical_qubit_count,
-    shor_two_qubit_count,
-    two_qubit_count,
-)
-from .engineering import (
-    CryoProfile,
-    ScalingReport,
-    chip_area,
-    cryo_budget,
-    decoder_compute,
-    fabrication_yield,
-    full_stack_report,
-    syndrome_data_rate,
-    wiring_count,
-)
-from .model import (
-    CHANNELS,
-    ErrorBudget,
-    HardwareProfile,
-    LogProbability,
-    OpCounts,
-    ZeroCountError,
-    fidelity,
-    idle_error_exponent,
-    log_fidelity,
-    quadratic_scaling_exponent,
-    required_error_rate,
-)
-from .presets import PRESETS, get_preset, preset_names
-from .qec import (
-    AboveThresholdError,
-    FloorUnreachableError,
-    QecCode,
-    QecPlan,
-    error_floor,
-    logical_error_rate,
-    logical_runtime,
-    optimal_code_size,
-    physical_resources,
-    required_code_size,
-)
-from .scenario import (
-    Scenario,
-    ScenarioParseError,
-    ScenarioValidationError,
-    SimulationSettings,
-    parse_scenario,
-    scenario_to_dict,
-)
+from .algorithms import AlgorithmSpec, assess
+from .model import ErrorBudget, OpCounts, fidelity, required_error_rate
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgorithmSpec",
-    "FeasibilityReport",
-    "assess",
-    "chemistry_two_qubit_count",
-    "grover_sequential_runtime",
-    "grover_two_qubit_count",
-    "info_throughput",
-    "logical_qubit_count",
-    "shor_two_qubit_count",
-    "two_qubit_count",
-    "CryoProfile",
-    "ScalingReport",
-    "chip_area",
-    "cryo_budget",
-    "decoder_compute",
-    "fabrication_yield",
-    "full_stack_report",
-    "syndrome_data_rate",
-    "wiring_count",
-    "CHANNELS",
-    "ErrorBudget",
-    "HardwareProfile",
-    "LogProbability",
-    "OpCounts",
-    "ZeroCountError",
-    "fidelity",
-    "idle_error_exponent",
-    "log_fidelity",
-    "quadratic_scaling_exponent",
-    "required_error_rate",
-    "PRESETS",
-    "get_preset",
-    "preset_names",
-    "AboveThresholdError",
-    "FloorUnreachableError",
-    "QecCode",
-    "QecPlan",
-    "error_floor",
-    "logical_error_rate",
-    "logical_runtime",
-    "optimal_code_size",
-    "physical_resources",
-    "required_code_size",
-    "Scenario",
-    "ScenarioParseError",
-    "ScenarioValidationError",
-    "SimulationSettings",
-    "parse_scenario",
-    "scenario_to_dict",
-    "__version__",
-]

@@ -35,6 +35,8 @@ SECONDS_PER_YEAR = 365.25 * 24 * 3600.0
 
 #: Counts above 63 bits are handed out as floats (see OpCounts notes).
 _INT_LIMIT = 2 ** 63
+_BEYOND_FLOAT_RANGE = ("two-qubit count is beyond the float range "
+                       "(about 1.8e308); use a smaller instance")
 
 
 def _as_count(value: int | float, factor: float | None = None) -> int | float:
@@ -52,8 +54,7 @@ def _as_count(value: int | float, factor: float | None = None) -> int | float:
             raise OverflowError
         return count
     except OverflowError:
-        raise ValueError("two-qubit count is beyond the float range "
-                         "(about 1.8e308); use a smaller instance") from None
+        raise ValueError(_BEYOND_FLOAT_RANGE) from None
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,8 @@ def grover_two_qubit_count(n_bits: int) -> int | float:
     """
     if n_bits < 1:
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+    if n_bits // 2 >= 1024:  # at least 2^1024; the exact int could fill memory
+        raise ValueError(_BEYOND_FLOAT_RANGE)
     return _as_count(n_bits << (n_bits // 2), math.sqrt(2.0) if n_bits % 2 else None)
 
 

@@ -14,6 +14,9 @@ Subcommands:
 ``--format machine`` prints one JSON document; ``--output PATH`` writes
 that JSON to a file regardless of the stdout format.  Usage and parse
 problems exit with code 1.
+
+The simulator loads numpy, so only the functions that run it import
+it: ``estimate`` and ``presets`` stay numpy-free.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .algorithms import SECONDS_PER_YEAR, FeasibilityReport, assess
 from .engineering import ScalingReport, full_stack_report
@@ -38,10 +42,9 @@ from .scenario import (
     parse_scenario,
     scenario_to_dict,
 )
-from .sim.circuit import random_circuit
-from .sim.engine import NoiseModel, estimate_fidelity
-from .sim.fit import FitResult, fit_error_rates
-from .sim.grover import grover_success_probability, ideal_success_probability
+
+if TYPE_CHECKING:
+    from .sim.fit import FitResult
 
 _EXIT_BY_STATUS = {"feasible": 0, "infeasible": 2, "qec-unreachable": 3}
 
@@ -131,6 +134,10 @@ def _fit_dict(result: FitResult) -> dict:
 
 
 def _simulate_random(sim: SimulationSettings) -> dict:
+    from .sim.circuit import random_circuit
+    from .sim.engine import NoiseModel, estimate_fidelity
+    from .sim.fit import fit_error_rates
+
     noise = NoiseModel(sim.noise)
     # Trajectory seed blocks come first (one block of `trajectories`
     # per depth, in order); topology seeds follow after all blocks.
@@ -165,6 +172,9 @@ def _simulate_random(sim: SimulationSettings) -> dict:
 
 
 def _simulate_grover(sim: SimulationSettings) -> dict:
+    from .sim.engine import NoiseModel
+    from .sim.grover import grover_success_probability, ideal_success_probability
+
     noise = NoiseModel(sim.noise)
     success = grover_success_probability(
         sim.qubits, sim.marked, sim.iterations, noise, sim.trajectories, sim.seed)
@@ -344,6 +354,8 @@ def _parse_fit_file(text: str) -> list[tuple[OpCounts, float]]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from .sim.fit import fit_error_rates
+
     observations = _parse_fit_file(Path(args.data).read_text(encoding="utf-8"))
     if args.channels:
         channels = tuple(c.strip() for c in args.channels.split(","))

@@ -40,6 +40,7 @@ reports a floor of 5.918804e-317 at nc_max 10^5 and 0.0 at 10^7.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -79,6 +80,8 @@ class QecCode:
             raise ValueError(f"eps_nc must be >= 0, got {self.eps_nc!r}")
         if not (isinstance(self.nc_max, int) and self.nc_max >= 1):
             raise ValueError(f"nc_max must be an integer >= 1, got {self.nc_max!r}")
+        if self.nc_max > sys.float_info.max:  # code-size selection takes its sqrt
+            raise ValueError("nc_max must be at most the float range (about 1.8e308)")
         if not self.ops_per_logical_gate >= 1:
             raise ValueError("ops_per_logical_gate must be >= 1")
         if not self.factory_overhead >= 1:

@@ -33,8 +33,7 @@ from .engineering import CryoProfile
 from .model import CHANNELS, ErrorBudget, HardwareProfile
 from .presets import get_preset
 from .qec import QecCode
-from .sim.circuit import MAX_QUBITS
-from .sim.grover import optimal_iterations
+from .sim import MAX_QUBITS, optimal_iterations
 
 
 class ScenarioParseError(ValueError):
@@ -283,6 +282,8 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioParseError(f"bad YAML{where}: {exc.problem}") from exc
     except yaml.YAMLError as exc:
         raise ScenarioParseError(f"bad YAML: {exc}") from exc
+    except RecursionError:  # PyYAML composes nested nodes recursively
+        raise ScenarioParseError("bad YAML: nesting is too deep") from None
     if doc is None:
         doc = {}
     if not isinstance(doc, dict):

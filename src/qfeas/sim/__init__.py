@@ -1,79 +1,18 @@
-"""Desk-scale noisy state-vector simulation (n <= 16)."""
+"""Desk-scale noisy state-vector simulation (n <= 16).
 
-from .circuit import MAX_QUBITS, Circuit, random_circuit
-from .engine import (
-    PAULI_PAIRS,
-    FidelityEstimate,
-    NoiseModel,
-    QuantumState,
-    apply_gate,
-    estimate_fidelity,
-    run_ideal,
-    run_trajectory,
-    state_fidelity,
-    zero_state,
-)
-from .fit import FitResult, RankDeficientError, fit_error_rates
-from .gates import (
-    BadTargetError,
-    Gate,
-    cnot,
-    cz,
-    gate_matrix,
-    h,
-    idle,
-    rx,
-    rz,
-    s,
-    t,
-    x,
-    y,
-    z,
-)
-from .grover import (
-    SuccessEstimate,
-    build_grover_circuit,
-    controlled_phase_gates,
-    grover_success_probability,
-    ideal_success_probability,
-    optimal_iterations,
-)
+Import the simulator from its modules (``circuit``, ``engine``,
+``fit``, ``gates``, ``grover``); they load numpy.  This package module
+holds only the numpy-free facts the scenario schema checks against.
+"""
 
-__all__ = [
-    "MAX_QUBITS",
-    "Circuit",
-    "random_circuit",
-    "PAULI_PAIRS",
-    "FidelityEstimate",
-    "NoiseModel",
-    "QuantumState",
-    "apply_gate",
-    "estimate_fidelity",
-    "run_ideal",
-    "run_trajectory",
-    "state_fidelity",
-    "zero_state",
-    "FitResult",
-    "RankDeficientError",
-    "fit_error_rates",
-    "BadTargetError",
-    "Gate",
-    "cnot",
-    "cz",
-    "gate_matrix",
-    "h",
-    "idle",
-    "rx",
-    "rz",
-    "s",
-    "t",
-    "x",
-    "y",
-    "z",
-    "SuccessEstimate",
-    "build_grover_circuit",
-    "controlled_phase_gates",
-    "grover_success_probability",
-    "ideal_success_probability",
-    "optimal_iterations",
-]
+import math
+
+#: Hard register cap: 2^16 amplitudes keeps trajectory counts cheap.
+MAX_QUBITS = 16
+
+
+def optimal_iterations(n: int) -> int:
+    """Grover iteration count maximizing success: floor(pi / (4*asin(2^(-n/2))))."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return int(math.pi / (4.0 * math.asin(2.0 ** (-n / 2.0))))

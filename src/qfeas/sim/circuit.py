@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from ..model import OpCounts
+from . import MAX_QUBITS
 from .gates import (
     CHANNEL_OF_KIND,
     PARAMETRIC_KINDS,
@@ -31,9 +32,6 @@ from .gates import (
     rx,
     t,
 )
-
-#: Hard register cap: 2^16 amplitudes keeps trajectory counts cheap.
-MAX_QUBITS = 16
 
 
 @dataclass(frozen=True)

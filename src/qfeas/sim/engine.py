@@ -49,7 +49,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..model import ErrorBudget
-from .circuit import MAX_QUBITS, Circuit
+from . import MAX_QUBITS
+from .circuit import Circuit
 from .gates import _SQ2, _T_PHASE, CHANNEL_OF_KIND, BadTargetError, Gate
 
 #: A register state: 2^n complex128 amplitudes, qubit 0 = high bit.

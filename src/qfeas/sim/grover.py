@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-from .circuit import MAX_QUBITS, Circuit
+from . import MAX_QUBITS
+from .circuit import Circuit
 from .engine import NoiseModel, mean_over_trajectories
 from .gates import Gate, cnot, h, rz, x
 
@@ -93,13 +94,6 @@ def build_grover_circuit(n: int, marked: str, iterations: int) -> Circuit:
         gates += [x(q) for q in range(n)]
         gates += [h(q) for q in range(n)]
     return Circuit(n, tuple(gates))
-
-
-def optimal_iterations(n: int) -> int:
-    """Iteration count maximizing success: floor(pi / (4*asin(2^(-n/2))))."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return int(math.pi / (4.0 * math.asin(2.0 ** (-n / 2.0))))
 
 
 def ideal_success_probability(n: int, iterations: int) -> float:

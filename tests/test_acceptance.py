@@ -34,15 +34,13 @@ from qfeas.qec import (
     required_code_size,
 )
 from qfeas.scenario import parse_scenario, scenario_to_dict
-from qfeas.sim import (
-    Circuit,
-    NoiseModel,
+from qfeas.sim.circuit import Circuit, random_circuit
+from qfeas.sim.engine import NoiseModel, estimate_fidelity
+from qfeas.sim.fit import fit_error_rates
+from qfeas.sim.grover import (
     build_grover_circuit,
-    estimate_fidelity,
-    fit_error_rates,
     grover_success_probability,
     ideal_success_probability,
-    random_circuit,
 )
 
 

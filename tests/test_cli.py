@@ -1,11 +1,15 @@
 """Command-line front end: subcommands, exit codes, output formats."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import qfeas
 from qfeas.cli import entry_point, main
 from qfeas.scenario import parse_scenario
 
@@ -274,6 +278,11 @@ class TestUsageErrors:
     def test_invalid_yaml(self, tmp_path, capsys):
         assert main(["estimate", write(tmp_path, "bad.yaml", "hardware: [unclosed\n")]) == 1
 
+    def test_deeply_nested_yaml_exits_1(self, tmp_path, capsys):
+        text = SHOR_2048 + "qec: " + "[" * 1000 + "]" * 1000 + "\n"
+        assert main(["estimate", write(tmp_path, "deep.yaml", text)]) == 1
+        assert capsys.readouterr().err == "qfeas: error: bad YAML: nesting is too deep\n"
+
     def test_unknown_scenario_key(self, tmp_path, capsys):
         text = SHOR_2048 + "qec: {epsilon3: 1.0e-9}\n"
         assert main(["estimate", write(tmp_path, "bad.yaml", text)]) == 1
@@ -296,12 +305,14 @@ class TestUsageErrors:
 class TestOutputContract:
     @pytest.mark.parametrize("algorithm", [
         "{kind: grover, size: 2100}",
+        "{kind: grover, size: %d}" % 10 ** 20,
         "{kind: shor, size: %d}" % 10 ** 103,
         "{kind: chemistry, size: %d}" % 10 ** 52,
         # float products overflow to inf rather than raising
         "{kind: shor, size: 2048, routing_overhead: 1.0e+300}",
         "{kind: chemistry, size: 30, chemistry_prefactor: 1.0e+300}",
-    ], ids=["grover", "shor", "chemistry", "routing-overhead", "chemistry-prefactor"])
+    ], ids=["grover", "grover-huge", "shor", "chemistry", "routing-overhead",
+            "chemistry-prefactor"])
     def test_count_beyond_float_range_exits_1(self, tmp_path, capsys, algorithm):
         text = f"hardware: sc-2020\nalgorithm: {algorithm}\n"
         assert main(["estimate", write(tmp_path, "big.yaml", text)]) == 1
@@ -348,6 +359,20 @@ class TestOutputContract:
 
 
 class TestEntryPoint:
+    def test_estimate_and_presets_load_no_numpy(self, tmp_path):
+        # a fresh interpreter, so no other test has imported numpy yet
+        script = (
+            "import sys\n"
+            "from qfeas.cli import main\n"
+            f"codes = main(['estimate', {write(tmp_path, 's.yaml', SHOR_2048)!r}]), "
+            "main(['presets'])\n"
+            "print(codes, 'numpy' in sys.modules)\n")
+        src = str(Path(qfeas.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert result.stderr == ""
+        assert result.stdout.splitlines()[-1] == "(2, 0) False"
+
     def test_console_script_exits_with_main_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["qfeas", "presets", "--format", "machine"])
         with pytest.raises(SystemExit) as exc:

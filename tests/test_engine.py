@@ -10,35 +10,39 @@ import math
 import numpy as np
 import pytest
 
-from qfeas import CHANNELS, ErrorBudget
-from qfeas.sim import (
-    BadTargetError,
-    Circuit,
+from qfeas.model import CHANNELS, ErrorBudget
+from qfeas.sim.circuit import Circuit, random_circuit
+from qfeas.sim.engine import (
+    PAULI_PAIRS,
     FidelityEstimate,
     NoiseModel,
-    PAULI_PAIRS,
     apply_gate,
+    estimate_fidelity,
+    noise_sites,
+    run_ideal,
+    run_trajectory,
+    state_fidelity,
+    zero_state,
+)
+from qfeas.sim.gates import (
+    ONE_QUBIT_KINDS,
+    PARAMETRIC_KINDS,
+    TWO_QUBIT_KINDS,
+    BadTargetError,
+    Gate,
     cnot,
     cz,
-    estimate_fidelity,
     gate_matrix,
     h,
     idle,
-    random_circuit,
-    run_ideal,
-    run_trajectory,
     rx,
     rz,
     s,
-    state_fidelity,
     t,
     x,
     y,
     z,
-    zero_state,
 )
-from qfeas.sim.engine import noise_sites
-from qfeas.sim.gates import ONE_QUBIT_KINDS, PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Gate
 
 SQ2 = 1 / math.sqrt(2)
 

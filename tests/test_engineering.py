@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qfeas import AlgorithmSpec, ErrorBudget, HardwareProfile
+from qfeas import AlgorithmSpec, ErrorBudget
 from qfeas.engineering import (
     CryoBudget,
     CryoProfile,
@@ -19,6 +19,7 @@ from qfeas.engineering import (
     syndrome_data_rate,
     wiring_count,
 )
+from qfeas.model import HardwareProfile
 from qfeas.qec import FloorUnreachableError, QecCode
 from qfeas.presets import get_preset
 

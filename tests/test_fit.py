@@ -6,8 +6,8 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfeas import CHANNELS, ErrorBudget, OpCounts, log_fidelity
-from qfeas.sim import RankDeficientError, fit_error_rates
+from qfeas.model import CHANNELS, ErrorBudget, OpCounts, log_fidelity
+from qfeas.sim.fit import RankDeficientError, fit_error_rates
 
 
 def synth(budget, counts_list):

@@ -7,17 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfeas import OpCounts
-from qfeas.sim import (
-    MAX_QUBITS,
+from qfeas.sim import MAX_QUBITS
+from qfeas.sim.circuit import Circuit, random_circuit
+from qfeas.sim.gates import (
     BadTargetError,
-    Circuit,
     Gate,
     cnot,
     cz,
     gate_matrix,
     h,
     idle,
-    random_circuit,
     rx,
     rz,
     s,

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from qfeas import ErrorBudget
-from qfeas.sim import (
-    NoiseModel,
-    apply_gate,
+from qfeas.sim import optimal_iterations
+from qfeas.sim.engine import NoiseModel, apply_gate, run_ideal
+from qfeas.sim.grover import (
     build_grover_circuit,
     controlled_phase_gates,
     grover_success_probability,
     ideal_success_probability,
-    optimal_iterations,
-    run_ideal,
 )
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qfeas import (
+from qfeas.model import (
     CHANNELS,
     ErrorBudget,
     LogProbability,

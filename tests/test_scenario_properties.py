@@ -16,7 +16,7 @@ import json
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfeas.cli import main
 from qfeas.model import CHANNELS, ErrorBudget
@@ -55,6 +55,7 @@ OUT_OF_RANGE = {
     "eps0": HUGE, "eps1": HUGE, "eps2": HUGE, "yield_p": HUGE, "eps_th": HUGE,
     "eps_nc": HUGE, "target_fidelity": HUGE, "routing_overhead": UNIT,
     "ops_per_logical_gate": UNIT, "factory_overhead": UNIT,
+    "nc_max": st.sampled_from([0, 10 ** 400]),
     "kind": st.sampled_from(["annealing", "bogus", "Random"]),
     "size": st.integers(-1, 1),
     "qubits": st.sampled_from([0, 1, MAX_QUBITS + 1]),
@@ -156,6 +157,9 @@ def scenario_path(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(text=scenarios())
+# a faulty key rarely reaches code-size selection among the generated cases
+@example(text=f"hardware: sc-2020\nalgorithm: {{kind: shor, size: 2048}}\n"
+              f"qec: {{nc_max: {10 ** 400}}}\n")
 def test_estimate_output_contract_is_total(scenario_path, text):
     scenario_path.write_text(text, encoding="utf-8")
     codes = []
@@ -165,6 +169,7 @@ def test_estimate_output_contract_is_total(scenario_path, text):
         if code == 1:
             assert out == ""
             assert err.startswith("qfeas: error: ") and err.count("\n") == 1, err
+            assert err.removeprefix("qfeas: error: ").strip(), err
             # an overflowing count is named as such, not as an inf n2
             assert "n2 must be finite" not in err, err
             continue
