@@ -10,10 +10,13 @@ a complex product on a single amplitude by another loop than on several,
 so 1-qubit trajectories run one row per block.)
 
 Noisy trajectories run as the rows of such blocks, each block capped at
-``_BATCH_BYTES``.  Every gate is applied once to the whole block, and a
-Pauli insertion afterwards to its own row.  A noise site stores only its
-gate's index, rate and targets; the Pauli gates of an insertion are
-built only when the site fires.
+``_BATCH_BYTES``.  Every gate is applied once to the rows that have
+joined the block, and a Pauli insertion afterwards to its own row.  In a
+block led by the noiseless row, a row joins at its first insertion: just
+after that gate it starts as a copy of the noiseless row, whose every
+operation up to there it shares.  A noise site stores only its gate's
+index, rate and targets; the Pauli gates of an insertion are built only
+when the site fires.
 
 An observable is ``observe(ideal, state)``, a float from the noiseless
 final state and one trajectory's.  The noiseless (ideal) run is the
@@ -24,7 +27,9 @@ alone, draws nothing, and gives ``(observe(ideal, ideal), 0.0)``.
 
 Noise realization per trajectory, given the trajectory seed:
 
-1. the trajectory's generator is ``Generator(Philox(seed))``;
+1. the trajectory's generator is in the state of a fresh
+   ``Generator(Philox(seed))`` (one generator serves a whole run,
+   re-keyed to that state before each trajectory);
 2. one block ``rng.random(len(sites))`` is drawn, where sites are the
    gates with a nonzero rate for their channel (IDLE -> eps0, other
    one-qubit -> eps1, two-qubit -> eps2), in circuit order;
@@ -132,11 +137,10 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
         elif kind == "Z":
             b *= -1.0
         elif kind == "H":
-            tmp = a.copy()
-            np.add(tmp, b, out=a)
+            tmp = a - b
+            a += b
             a *= _SQ2
-            np.subtract(tmp, b, out=b)
-            b *= _SQ2
+            np.multiply(tmp, _SQ2, out=b)
         elif kind == "T":
             b *= _T_PHASE
         elif kind == "S":
@@ -152,11 +156,12 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
         elif kind == "RX":
             c = math.cos(gate.theta / 2.0)
             sv = -1j * math.sin(gate.theta / 2.0)
-            tmp = a.copy()
+            sv_b = sv * b
+            sv_a = sv * a
             a *= c
-            a += sv * b
+            a += sv_b
             b *= c
-            b += sv * tmp
+            b += sv_a
         else:
             raise AssertionError(f"unhandled kind {kind!r}")
         return
@@ -212,22 +217,46 @@ def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
             if (rate := rates[CHANNEL_OF_KIND[gate.kind]]) != 0.0]
 
 
+def _paulis(rng: np.random.Generator, targets: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The Pauli gates a firing site inserts: one ``rng.integers`` draw."""
+    if len(targets) == 2:
+        paulis = zip(PAULI_PAIRS[int(rng.integers(0, 15))], targets)
+        return tuple(Gate(p, (q,)) for p, q in paulis if p != "I")
+    return (Gate(PAULI_1Q[int(rng.integers(0, 3))], targets),)
+
+
 def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
-    """Draw one trajectory's insertions; see the module docstring for
-    the exact draw order."""
+    """Draw one trajectory's insertions with a fresh
+    ``Generator(Philox(traj_seed))``, one site at a time; see the module
+    docstring for the exact draw order.  This is the reference for the
+    batched loop's ``_draw``."""
     rng = np.random.Generator(np.random.Philox(traj_seed))
     if not sites:
         return {}
     uniforms = rng.random(len(sites))
-    insertions: _Insertions = {}
-    for u, (index, rate, targets) in zip(uniforms.tolist(), sites):
-        if u < rate:
-            if len(targets) == 2:
-                paulis = zip(PAULI_PAIRS[int(rng.integers(0, 15))], targets)
-                insertions[index] = tuple(Gate(p, (q,)) for p, q in paulis if p != "I")
-            else:
-                insertions[index] = (Gate(PAULI_1Q[int(rng.integers(0, 3))], targets),)
-    return insertions
+    return {index: _paulis(rng, targets)
+            for u, (index, rate, targets) in zip(uniforms.tolist(), sites) if u < rate}
+
+
+def _draw(rng: np.random.Generator, sites: list[_Site], rates: np.ndarray) -> _Insertions:
+    """``sample_insertions`` from ``rng``, given the sites' rates as an
+    array: one comparison finds the sites that fire."""
+    uniforms = rng.random(len(sites))
+    return {sites[s][0]: _paulis(rng, sites[s][2])
+            for s in np.flatnonzero(uniforms < rates).tolist()}
+
+
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(rng: np.random.Generator, seed: int) -> None:
+    """Put ``rng``, a Philox generator, in the state of a fresh
+    ``Generator(Philox(seed))``: the key ``SeedSequence(seed)`` gives
+    Philox, counter 0 and an empty output buffer."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
+        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
@@ -262,22 +291,32 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 _BATCH_BYTES = 1 << 20
 
 
-def _run_block(circuit: Circuit, insertions_list: list[_Insertions]) -> np.ndarray:
-    """Run each entry of ``insertions_list`` as one row of a (rows, 2^n)
-    array and return the array.
+def _run_block(circuit: Circuit, block: list[_Insertions]) -> np.ndarray:
+    """Run each entry of ``block`` as one row of a (rows, 2^n) array and
+    return the array.
 
-    Each gate acts once on the whole array; an insertion then acts on its
-    own row, so every row sees the serial run's operations in its order.
+    Each gate acts once on the rows that have joined, ``states[:active]``;
+    an insertion then acts on its own row, so every row sees the serial
+    run's operations in its order.  If row 0 is the ideal run (no
+    insertions), the other rows, ordered by their first insertion, join
+    as copies of row 0 just after that insertion's gate: up to there a
+    row sees exactly the ideal run's operations.  Otherwise every row
+    runs from |0...0>.
     """
     n = circuit.n_qubits
-    states = np.zeros((len(insertions_list), 1 << n), dtype=np.complex128)
-    states[:, 0] = 1.0
+    states = np.zeros((len(block), 1 << n), dtype=np.complex128)
+    active = 1 if not block[0] else len(block)
+    states[:active, 0] = 1.0
+    joins = [min(insertions, default=-1) for insertions in block]
     after: dict[int, list[tuple[int, tuple[Gate, ...]]]] = {}
-    for r, insertions in enumerate(insertions_list):
+    for r, insertions in enumerate(block):
         for index, paulis in insertions.items():
             after.setdefault(index, []).append((r, paulis))
     for g, gate in enumerate(circuit.gates):
-        _apply_inplace(states, gate, n)
+        _apply_inplace(states[:active], gate, n)
+        while active < len(block) and joins[active] == g:
+            states[active] = states[0]
+            active += 1
         for r, paulis in after.get(g, ()):
             for pauli in paulis:
                 _apply_inplace(states[r], pauli, n)
@@ -288,21 +327,31 @@ def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
             clean: np.ndarray) -> Iterator[tuple[list[int], list[_Insertions]]]:
     """Draw the trajectories' insertions in order, set clean[i] for each
     trajectory i that drew none, and yield the others as (trajectories,
-    insertions) blocks of at most ``rows``.  The first block, yielded
-    even when no trajectory drew anything, begins with the ideal row."""
-    owners: list[int] = []
-    block: list[_Insertions] = [{}]
+    insertions) blocks of at most ``rows``, ordered by first insertion.
+    The first block, yielded even when no trajectory drew anything,
+    begins with the ideal row; a later block does when it holds more
+    than two rows, since below that the ideal row costs more gate-rows
+    than the late joins save."""
+    rates = np.array([rate for _, rate, _ in sites], dtype=np.float64)
+    rng = np.random.Generator(np.random.Philox(seed))  # re-keyed per trajectory
+    head: list[_Insertions] = [{}]
+    noisy: list[tuple[int, _Insertions]] = []
+
+    def block() -> tuple[list[int], list[_Insertions]]:
+        noisy.sort(key=lambda entry: min(entry[1]))
+        return [i for i, _ in noisy], head + [insertions for _, insertions in noisy]
+
     for i in range(n_traj):
-        insertions = sample_insertions(sites, seed + i)
+        _rekey(rng, seed + i)
+        insertions = _draw(rng, sites, rates)
         if not insertions:
             clean[i] = True
             continue
-        if len(block) == rows:
-            yield owners, block
-            owners, block = [], []
-        owners.append(i)
-        block.append(insertions)
-    yield owners, block
+        if len(head) + len(noisy) == rows:
+            yield block()
+            head, noisy = [{}] if rows > 2 else [], []
+        noisy.append((i, insertions))
+    yield block()
 
 
 def mean_over_trajectories(

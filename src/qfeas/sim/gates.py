@@ -11,8 +11,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S", "T", "RZ", "RX", "IDLE")
 TWO_QUBIT_KINDS = ("CZ", "CNOT")
 PARAMETRIC_KINDS = ("RZ", "RX")
@@ -109,40 +107,3 @@ def cnot(control: int, target: int) -> Gate:
 
 def idle(q: int) -> Gate:
     return Gate("IDLE", (q,))
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Dense unitary of the gate, 2x2 or 4x4 (first target = high bit).
-
-    Reference implementation for tests; the engine applies gates with
-    strided slice arithmetic instead.
-    """
-    k = gate.kind
-    if k == "H":
-        return np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=np.complex128)
-    if k == "X":
-        return np.array([[0, 1], [1, 0]], dtype=np.complex128)
-    if k == "Y":
-        return np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-    if k == "Z":
-        return np.diag([1, -1]).astype(np.complex128)
-    if k == "S":
-        return np.diag([1, 1j]).astype(np.complex128)
-    if k == "T":
-        return np.diag([1, _T_PHASE]).astype(np.complex128)
-    if k == "IDLE":
-        return np.eye(2, dtype=np.complex128)
-    if k == "RZ":
-        half = gate.theta / 2.0
-        return np.diag([cmath.exp(-1j * half), cmath.exp(1j * half)]).astype(np.complex128)
-    if k == "RX":
-        c = math.cos(gate.theta / 2.0)
-        sv = -1j * math.sin(gate.theta / 2.0)
-        return np.array([[c, sv], [sv, c]], dtype=np.complex128)
-    if k == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(np.complex128)
-    if k == "CNOT":
-        m = np.eye(4, dtype=np.complex128)
-        m[[2, 3]] = m[[3, 2]]
-        return m
-    raise AssertionError(f"unhandled kind {k!r}")

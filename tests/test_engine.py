@@ -32,7 +32,6 @@ from qfeas.sim.gates import (
     Gate,
     cnot,
     cz,
-    gate_matrix,
     h,
     idle,
     rx,
@@ -43,6 +42,8 @@ from qfeas.sim.gates import (
     y,
     z,
 )
+
+from gate_oracle import gate_matrix
 
 SQ2 = 1 / math.sqrt(2)
 

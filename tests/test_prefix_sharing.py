@@ -1,0 +1,177 @@
+"""Rows that join a block late, and the generator re-keyed per trajectory.
+
+``_run_block`` lets a noisy row join just after its first insertion's
+gate as a copy of the ideal row 0; a block without an ideal row runs
+every row from |0...0>.  Each row must still match the serial oracle
+``run_with_insertions`` bit for bit.  ``_blocks`` draws every
+trajectory with one Philox generator re-keyed by ``_rekey``, which must
+give the stream of a fresh ``Generator(Philox(seed))``.
+"""
+
+import hashlib
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from qfeas import ErrorBudget
+from qfeas.sim import engine
+from qfeas.sim.circuit import Circuit, random_circuit
+from qfeas.sim.engine import (
+    NoiseModel,
+    _blocks,
+    _draw,
+    _rekey,
+    _run_block,
+    mean_over_trajectories,
+    noise_sites,
+    run_ideal,
+    run_with_insertions,
+    sample_insertions,
+)
+from qfeas.sim.gates import Gate
+
+SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
+
+
+def _state_hash(state):
+    return float(int.from_bytes(hashlib.sha256(state.tobytes()).digest()[:6], "big"))
+
+
+def _serial(circuit, noise, n_traj, seed):
+    """Mean and standard error of the state hash, one trajectory at a time."""
+    sites = noise_sites(circuit, noise)
+    values = np.array([_state_hash(run_with_insertions(
+        circuit, sample_insertions(sites, seed + i))) for i in range(n_traj)])
+    std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
+    return float(values.mean()).hex(), std_error.hex()
+
+
+def _batched(circuit, noise, n_traj, seed, rows):
+    row_bytes = 16 << circuit.n_qubits
+    with mock.patch.object(engine, "_BATCH_BYTES", rows * row_bytes):
+        mean, std_error = mean_over_trajectories(
+            circuit, noise, n_traj, seed, lambda ideal, state: _state_hash(state))
+    return mean.hex(), std_error.hex()
+
+
+CIRCUIT = Circuit(3, (
+    Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("RX", (2,), 0.7), Gate("T", (1,)),
+    Gate("CZ", (1, 2)), Gate("H", (2,)), Gate("RZ", (0,), -1.3), Gate("CNOT", (2, 0)),
+))
+LAST = len(CIRCUIT.gates) - 1
+
+
+def _assert_rows_match_oracle(block):
+    states = _run_block(CIRCUIT, block)
+    for row, insertions in zip(states, block):
+        assert row.tobytes() == run_with_insertions(CIRCUIT, insertions).tobytes()
+
+
+def test_rows_join_after_gate_zero_the_last_gate_and_together():
+    x0, z1, y2 = Gate("X", (0,)), Gate("Z", (1,)), Gate("Y", (2,))
+    block = [
+        {},
+        {0: (x0,)},                      # joins after gate 0
+        {0: (z1,), 4: (y2,)},
+        {3: (y2,)},                      # three rows join after gate 3
+        {3: (x0, z1)},
+        {3: (z1,), LAST: (x0,)},
+        {LAST: (y2,)},                   # joins after the last gate
+    ]
+    _assert_rows_match_oracle(block)
+    assert _run_block(CIRCUIT, block)[0].tobytes() == run_ideal(CIRCUIT).tobytes()
+
+
+def test_block_without_ideal_row_runs_every_row_from_the_start():
+    # no ideal row 0, so the rows need not be ordered by first insertion
+    _assert_rows_match_oracle([{LAST: (Gate("X", (1,)),)}, {0: (Gate("Z", (0,)),)}])
+
+
+def test_blocks_are_ordered_by_first_insertion_and_led_by_the_ideal_row():
+    circuit = random_circuit(4, 12, 5)
+    sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps1=0.05, eps2=0.1)))
+    clean = np.zeros(40, dtype=bool)
+    blocks = list(_blocks(sites, 40, 9, 5, clean))
+    assert len(blocks) > 2
+    for owners, block in blocks:
+        assert len(block) <= 5
+        lead = len(block) - len(owners)
+        assert lead == 1 and block[0] == {}  # every block: 5 rows > 2
+        firsts = [min(insertions) for insertions in block[lead:]]
+        assert firsts == sorted(firsts)
+        for i, insertions in zip(owners, block[lead:]):
+            assert insertions == sample_insertions(sites, 9 + i)
+    owners = sorted(i for owners, _ in blocks for i in owners)
+    assert owners == [i for i in range(40) if not clean[i]]
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_later_blocks_match_the_serial_oracle(rows):
+    """At two rows a later block holds no ideal row; at three it leads
+    with its own."""
+    circuit = random_circuit(4, 10, 3)
+    noise = NoiseModel(ErrorBudget(eps0=0.02, eps1=0.03, eps2=0.08))
+    clean = np.zeros(30, dtype=bool)
+    blocks = list(_blocks(noise_sites(circuit, noise), 30, 17, rows, clean))
+    assert len(blocks) > 3
+    assert all(len(block) - len(owners) == (rows > 2) for owners, block in blocks[1:])
+    assert _batched(circuit, noise, 30, 17, rows) == _serial(circuit, noise, 30, 17)
+
+
+def test_one_qubit_circuit_matches_the_serial_oracle():
+    circuit = Circuit(1, (Gate("H", (0,)), Gate("T", (0,)), Gate("RZ", (0,), 0.3),
+                          Gate("RX", (0,), 1.1), Gate("S", (0,)), Gate("H", (0,))))
+    noise = NoiseModel(ErrorBudget(eps1=0.2))
+    # eight rows would fit, but one-qubit rows still run one per block
+    assert _batched(circuit, noise, 25, 4, 8) == _serial(circuit, noise, 25, 4)
+
+
+def test_fifteen_qubits_at_two_rows_per_block_match_the_serial_oracle():
+    circuit = random_circuit(15, 2, 8)
+    noise = NoiseModel(ErrorBudget(eps2=0.1))
+    rows = max(1, engine._BATCH_BYTES // (16 << 15))
+    assert rows == 2
+    clean = np.zeros(6, dtype=bool)
+    assert len(list(_blocks(noise_sites(circuit, noise), 6, 21, rows, clean))) > 2
+    mean, std_error = mean_over_trajectories(
+        circuit, noise, 6, 21, lambda ideal, state: _state_hash(state))
+    assert (mean.hex(), std_error.hex()) == _serial(circuit, noise, 6, 21)
+
+
+def _same_state(a, b):
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    assert sa["state"]["key"].tolist() == sb["state"]["key"].tolist()
+    assert sa["state"]["counter"].tolist() == sb["state"]["counter"].tolist()
+    assert (sa["buffer_pos"], sa["has_uint32"], sa["uinteger"]) == \
+        (sb["buffer_pos"], sb["has_uint32"], sb["uinteger"])
+
+
+def test_rekeyed_generator_gives_a_fresh_generators_stream():
+    rng = np.random.Generator(np.random.Philox(12345))
+    for s in SEEDS:
+        rng.random(3)
+        rng.integers(0, 15)  # leaves half of a uint64 in the uint32 buffer
+        _rekey(rng, s)
+        fresh = np.random.Generator(np.random.Philox(s))
+        _same_state(rng, fresh)
+        assert rng.random(5).tolist() == fresh.random(5).tolist()
+        assert [int(rng.integers(0, 15)) for _ in range(4)] == \
+            [int(fresh.integers(0, 15)) for _ in range(4)]
+        assert [int(rng.integers(0, 3)) for _ in range(3)] == \
+            [int(fresh.integers(0, 3)) for _ in range(3)]
+        assert rng.random(2).tolist() == fresh.random(2).tolist()
+
+
+@pytest.mark.parametrize("base", SEEDS)
+def test_rekeyed_draws_match_sample_insertions(base):
+    """Every trajectory here follows one whose draw called integers."""
+    circuit = random_circuit(4, 6, 2)
+    sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps0=0.1, eps1=0.2, eps2=0.3)))
+    rates = np.array([rate for _, rate, _ in sites])
+    rng = np.random.Generator(np.random.Philox(base))
+    for i in range(8):
+        _rekey(rng, base + i)
+        drawn = _draw(rng, sites, rates)
+        assert drawn and drawn == sample_insertions(sites, base + i)

@@ -6,7 +6,9 @@ stderr.  The exit code does not depend on ``--format``, and no exception
 escapes ``main``.  A generated ``simulation`` block, and the
 ``--seed``/``--trajectories`` overrides applied with
 ``dataclasses.replace``, either fail to parse or give settings that hold
-every invariant of ``SimulationSettings``.
+every invariant of ``SimulationSettings``.  Beside the freely generated
+scenarios, each key is also corrupted alone in an otherwise valid
+scenario, so that checks late in the run are reached too.
 """
 
 import contextlib
@@ -139,6 +141,36 @@ def scenarios(draw):
     return yaml.safe_dump(doc)
 
 
+#: In (0, 1), for the keys that refuse both ends of UNIT.
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+#: Valid values of every key outside ``simulation``.
+VALID = {"hardware": HARDWARE, "algorithm": {**ALGORITHM, "target_fidelity": OPEN_UNIT},
+         "qec": {**QEC, "eps_th": OPEN_UNIT}, "cryo": CRYO}
+#: Each key of each section, once; a simulation key goes with a kind that has it.
+FAULTS = [(name, key) for name in VALID for key in sorted(VALID[name])] + [
+    ("simulation", key) for key in sorted(set().union(*SIM_KEYS_BY_KIND.values()))]
+
+
+@st.composite
+def one_fault_scenarios(draw, name, key):
+    """A scenario whose keys all hold valid values but ``name``.``key``,
+    which is out of range or junk; so the check of that key is reached
+    even when it comes late, as in code-size selection or engineering."""
+    kind = draw(st.sampled_from([k for k in ("random", "grover")
+                                 if name != "simulation" or key in SIM_KEYS_BY_KIND[k]]))
+    values = simulation_values(draw(st.integers(2 if kind == "random" else 1, MAX_QUBITS)))
+    sections = {**VALID, "simulation": {k: values[k] for k in SIM_KEYS_BY_KIND[kind]}}
+    doc = {section: draw(st.fixed_dictionaries({}, optional=section_values))
+           for section, section_values in sections.items()}
+    doc["hardware"]["preset"] = draw(st.sampled_from(preset_names()))
+    doc["algorithm"] = {"kind": "shor", "size": 2048, **doc["algorithm"]}
+    doc["qec"].setdefault("nc_max", draw(QEC["nc_max"]))
+    doc["simulation"].update(kind=kind, qubits=draw(values["qubits"]),
+                             **({"depths": draw(values["depths"])} if kind == "random" else {}))
+    doc[name][key] = draw(st.one_of(OUT_OF_RANGE.get(key, JUNK), JUNK))
+    return yaml.safe_dump(doc)
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
@@ -155,12 +187,7 @@ def scenario_path(tmp_path_factory):
     return tmp_path_factory.mktemp("generated") / "scenario.yaml"
 
 
-@settings(max_examples=150, deadline=None)
-@given(text=scenarios())
-# a faulty key rarely reaches code-size selection among the generated cases
-@example(text=f"hardware: sc-2020\nalgorithm: {{kind: shor, size: 2048}}\n"
-              f"qec: {{nc_max: {10 ** 400}}}\n")
-def test_estimate_output_contract_is_total(scenario_path, text):
+def _check_output_contract(scenario_path, text):
     scenario_path.write_text(text, encoding="utf-8")
     codes = []
     for fmt in ("table", "machine"):
@@ -178,6 +205,22 @@ def test_estimate_output_contract_is_total(scenario_path, text):
             doc = json.loads(out, parse_constant=_reject_constant)
             assert {"feasible": 0, "infeasible": 2, "qec-unreachable": 3}[doc["status"]] == code
     assert codes[0] == codes[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=scenarios())
+# a faulty key rarely reaches code-size selection among the generated cases
+@example(text=f"hardware: sc-2020\nalgorithm: {{kind: shor, size: 2048}}\n"
+              f"qec: {{nc_max: {10 ** 400}}}\n")
+def test_estimate_output_contract_is_total(scenario_path, text):
+    _check_output_contract(scenario_path, text)
+
+
+@pytest.mark.parametrize("name, key", FAULTS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_faulty_key_still_meets_the_output_contract(scenario_path, name, key, data):
+    _check_output_contract(scenario_path, data.draw(one_fault_scenarios(name, key)))
 
 
 def _check_invariants(sim):
