@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from .algorithms import SECONDS_PER_YEAR, FeasibilityReport, assess
 from .engineering import ScalingReport, full_stack_report
@@ -136,16 +136,21 @@ def _fit_dict(result: FitResult) -> dict:
 def _simulate_random(sim: SimulationSettings) -> dict:
     from .sim.circuit import random_circuit
     from .sim.engine import NoiseModel, estimate_fidelity
-    from .sim.fit import fit_error_rates
+    from .sim.fit import design_matrix, fit_error_rates
 
     noise = NoiseModel(sim.noise)
     # Trajectory seed blocks come first (one block of `trajectories`
     # per depth, in order); topology seeds follow after all blocks.
     topo_base = sim.seed + len(sim.depths) * sim.trajectories
+    circuits = [random_circuit(sim.qubits, depth, topo_base + j, sim.pairs_per_layer)
+                for j, depth in enumerate(sim.depths)]
+    channels = _auto_fit_channels(sim)
+    if channels and len(circuits) >= 2:
+        # a fit these counts cannot separate fails before any trajectory runs
+        design_matrix([circuit.counts() for circuit in circuits], channels)
     rows = []
     observations: list[tuple[OpCounts, float]] = []
-    for j, depth in enumerate(sim.depths):
-        circuit = random_circuit(sim.qubits, depth, topo_base + j, sim.pairs_per_layer)
+    for j, (depth, circuit) in enumerate(zip(sim.depths, circuits)):
         estimate = estimate_fidelity(circuit, noise, sim.trajectories,
                                      sim.seed + j * sim.trajectories)
         counts = circuit.counts()
@@ -161,7 +166,6 @@ def _simulate_random(sim: SimulationSettings) -> dict:
             "log_mean_fidelity": log_mean,
         })
     doc: dict = {"kind": "random", "circuits": rows}
-    channels = _auto_fit_channels(sim)
     if channels and len(observations) >= 2:
         result = fit_error_rates(observations, channels)
         doc["fit"] = _fit_dict(result)
@@ -183,7 +187,7 @@ def _simulate_grover(sim: SimulationSettings) -> dict:
         "qubits": sim.qubits,
         "marked": sim.marked,
         "iterations": sim.iterations,
-        "success_probability": success.probability,
+        "success_probability": success.mean,
         "std_error": success.std_error,
         "ideal_success_probability": ideal_success_probability(
             sim.qubits, sim.iterations),
@@ -268,34 +272,29 @@ def _simulate_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _render(doc: dict, fmt: str) -> str:
-    if fmt == "machine":
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    if doc["command"] == "estimate":
-        return _estimate_table(doc)
-    if doc["command"] == "simulate":
-        return _simulate_table(doc)
-    if doc["command"] == "presets":
-        lines = ["name       eps1     eps2     t2"]
-        for name, hw in doc["presets"].items():
-            lines.append(f"{name:<10} {hw['eps1']:<8.3g} {hw['eps2']:<8.3g} "
-                         f"{hw['t2']:.3g}")
-        return "\n".join(lines)
-    if doc["command"] == "fit":
-        lines = []
-        for channel in doc["fit"]["channels"]:
-            lo, hi = doc["fit"]["ci95"][channel]
-            lines.append(f"fitted {channel:<10} {_fmt(doc['fit']['rates'][channel])} "
-                         f"(95% CI [{_fmt(lo)}, {_fmt(hi)}])")
-        return "\n".join(lines)
-    raise AssertionError(f"unhandled command {doc['command']!r}")
+def _presets_table(doc: dict) -> str:
+    lines = ["name       eps1     eps2     t2"]
+    for name, hw in doc["presets"].items():
+        lines.append(f"{name:<10} {hw['eps1']:<8.3g} {hw['eps2']:<8.3g} "
+                     f"{hw['t2']:.3g}")
+    return "\n".join(lines)
 
 
-def _emit(doc: dict, args: argparse.Namespace) -> None:
-    # Rendered first in every format, so a document that is not strict
+def _fit_table(doc: dict) -> str:
+    fit = doc["fit"]
+    lines = []
+    for channel in fit["channels"]:
+        lo, hi = fit["ci95"][channel]
+        lines.append(f"fitted {channel:<10} {_fmt(fit['rates'][channel])} "
+                     f"(95% CI [{_fmt(lo)}, {_fmt(hi)}])")
+    return "\n".join(lines)
+
+
+def _emit(doc: dict, args: argparse.Namespace, table: Callable[[dict], str]) -> None:
+    # Serialised first in every format, so a document that is not strict
     # JSON fails the same way whatever goes to stdout.
-    text = _render(doc, "machine")
-    print(text if args.format == "machine" else _render(doc, args.format))
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    print(text if args.format == "machine" else table(doc))
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="ascii")
 
@@ -306,7 +305,7 @@ def _load_scenario(path: str) -> Scenario:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     doc = run_estimate(_load_scenario(args.scenario))
-    _emit(doc, args)
+    _emit(doc, args, _estimate_table)
     return _EXIT_BY_STATUS[doc["status"]]
 
 
@@ -319,7 +318,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario = dataclasses.replace(scenario, simulation=dataclasses.replace(
             scenario.simulation, **overrides))
     doc = run_simulate(scenario)
-    _emit(doc, args)
+    _emit(doc, args, _simulate_table)
     return 0
 
 
@@ -328,7 +327,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
     for hw in presets.values():
         del hw["name"]
     doc = {"command": "presets", "presets": presets}
-    _emit(doc, args)
+    _emit(doc, args, _presets_table)
     return 0
 
 
@@ -367,7 +366,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             raise ValueError("all count columns are zero; nothing to fit")
     result = fit_error_rates(observations, channels)
     doc = {"command": "fit", "fit": _fit_dict(result)}
-    _emit(doc, args)
+    _emit(doc, args, _fit_table)
     return 0
 
 

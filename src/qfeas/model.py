@@ -195,7 +195,8 @@ def required_error_rate(counts: OpCounts, target_fidelity: float,
     channels as error-free (single-dominant-channel inversion).
 
     Raises :class:`ZeroCountError` when the selected channel has no
-    operations, ValueError for a target outside (0, 1).
+    operations, ValueError for a target outside (0, 1) or a rate that
+    underflows to 0 (a target within an ulp of 1 over a huge count).
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError(
@@ -204,7 +205,13 @@ def required_error_rate(counts: OpCounts, target_fidelity: float,
     if n == 0:
         raise ZeroCountError(
             f"channel {channel!r} has zero operations; no finite rate requirement")
-    return -math.log(target_fidelity) / n
+    rate = -math.log(target_fidelity) / n
+    if rate == 0.0:
+        raise ValueError(
+            f"the required {channel} rate, -ln(target_fidelity) = "
+            f"{-math.log(target_fidelity):.4g} over {n:.4g} operations, underflows "
+            "to 0; use a smaller instance or a lower target_fidelity")
+    return rate
 
 
 def idle_error_exponent(n_qubits: int, duration: float, t2: float) -> float:

@@ -2,7 +2,7 @@
 
 Gates act through strided slice arithmetic on complex128 amplitudes (no
 matrix products), so a run is a fixed sequence of elementwise operations
-and its output is reproducible bit for bit.  The same kernel takes one
+and a rerun reproduces its output bit for bit.  The same kernel takes one
 register, a 1-D array of 2^n amplitudes, or a block of registers, a
 (rows, 2^n) array: the rows fold into the leading axis of each reshape,
 and every amplitude sees the same operations either way.  (numpy rounds
@@ -19,11 +19,13 @@ index, rate and targets; the Pauli gates of an insertion are built only
 when the site fires.
 
 An observable is ``observe(ideal, state)``, a float from the noiseless
-final state and one trajectory's.  The noiseless (ideal) run is the
-trajectory with no insertions: it rides as row 0 of the first block, and
-a trajectory that draws no insertion is not simulated but contributes
-``observe(ideal, ideal)``.  A circuit with no noise site runs the ideal
-alone, draws nothing, and gives ``(observe(ideal, ideal), 0.0)``.
+final state and one trajectory's; its mean and standard error over the
+trajectories come back as an :class:`Estimate`.  The noiseless (ideal)
+run is the trajectory with no insertions: it rides as row 0 of the first
+block, and a trajectory that draws no insertion is not simulated but
+contributes ``observe(ideal, ideal)``.  A circuit with no noise site runs
+the ideal alone, draws nothing, and gives
+``Estimate(observe(ideal, ideal), 0.0)``.
 
 Noise realization per trajectory, given the trajectory seed:
 
@@ -49,7 +51,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -84,14 +86,11 @@ class NoiseModel:
         return b.eps0 == 0.0 and b.eps1 == 0.0 and b.eps2 == 0.0
 
 
-@dataclass(frozen=True)
-class FidelityEstimate:
-    """Monte-Carlo estimate of the overlap with the ideal final state."""
+class Estimate(NamedTuple):
+    """Mean of an observable over trajectories, with its standard error."""
 
     mean: float
     std_error: float
-    n_trajectories: int
-    seed: int
 
 
 def zero_state(n_qubits: int) -> QuantumState:
@@ -194,14 +193,6 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     return out
 
 
-def run_ideal(circuit: Circuit) -> QuantumState:
-    """Left-to-right noiseless application of the whole circuit to |0...0>."""
-    state = zero_state(circuit.n_qubits)
-    for gate in circuit.gates:
-        _apply_inplace(state, gate, circuit.n_qubits)
-    return state
-
-
 #: One potential insertion point: (gate index, firing rate, gate targets).
 _Site = tuple[int, float, tuple[int, ...]]
 
@@ -271,6 +262,11 @@ def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumSta
             for pauli in extra:
                 _apply_inplace(state, pauli, n)
     return state
+
+
+def run_ideal(circuit: Circuit) -> QuantumState:
+    """Left-to-right noiseless application of the whole circuit to |0...0>."""
+    return run_with_insertions(circuit, {})
 
 
 def run_trajectory(circuit: Circuit, noise: NoiseModel, seed: int) -> QuantumState:
@@ -356,7 +352,7 @@ def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
 
 def mean_over_trajectories(
         circuit: Circuit, noise: NoiseModel, n_traj: int, seed: int,
-        observe: Callable[[QuantumState, QuantumState], float]) -> tuple[float, float]:
+        observe: Callable[[QuantumState, QuantumState], float]) -> Estimate:
     """Mean and standard error of ``observe(ideal, state)`` over n_traj
     trajectories' final states; trajectory i uses seed+i.  The ideal run
     and the trajectories that drew an insertion run as the rows of blocks
@@ -366,7 +362,7 @@ def mean_over_trajectories(
     sites = noise_sites(circuit, noise)
     if not sites:
         ideal = _run_block(circuit, [{}])[0]
-        return observe(ideal, ideal), 0.0
+        return Estimate(observe(ideal, ideal), 0.0)
     n = circuit.n_qubits
     # On one qubit, T and RZ multiply a single amplitude per row, and numpy
     # rounds a one-element complex product differently from the same
@@ -383,16 +379,12 @@ def mean_over_trajectories(
             values[i] = observe(ideal, states[r])
         del states  # free this block before the next one is allocated
     values[clean] = observe(ideal, ideal)
-    mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return mean, std_error
+    return Estimate(float(values.mean()), std_error)
 
 
 def estimate_fidelity(circuit: Circuit, noise: NoiseModel, n_traj: int,
-                      seed: int) -> FidelityEstimate:
+                      seed: int) -> Estimate:
     """Mean overlap with the ideal state over n_traj trajectories; a
     trajectory with no insertions contributes exactly 1.0."""
-    mean, std_error = mean_over_trajectories(circuit, noise, n_traj, seed,
-                                             state_fidelity)
-    return FidelityEstimate(mean=mean, std_error=std_error,
-                            n_trajectories=n_traj, seed=seed)
+    return mean_over_trajectories(circuit, noise, n_traj, seed, state_fidelity)

@@ -44,6 +44,31 @@ class FitResult:
         return (rate - half, rate + half)
 
 
+def _fit_channels(channels: Sequence[str]) -> tuple[str, ...]:
+    requested = tuple(dict.fromkeys(channels))
+    unknown = [c for c in requested if c not in CHANNELS]
+    if unknown:
+        raise ValueError(f"unknown channels {unknown}; expected from {CHANNELS}")
+    if not requested:
+        raise ValueError("at least one channel to fit is required")
+    return tuple(c for c in CHANNELS if c in requested)
+
+
+def design_matrix(counts: Sequence[OpCounts], channels: Sequence[str]) -> np.ndarray:
+    """The counts of the requested channels, one row per observation and
+    one column per channel in CHANNELS order.  Raises RankDeficientError
+    when the columns do not separate the channels (for example all
+    observations share the same N1/N2 ratio while fitting both)."""
+    fit_channels = _fit_channels(channels)
+    design = np.array([[float(c.count(channel)) for channel in fit_channels]
+                       for c in counts], dtype=np.float64)
+    if np.linalg.matrix_rank(design) < len(fit_channels):
+        raise RankDeficientError(
+            f"observation counts do not separate channels {fit_channels}; "
+            "vary the per-channel counts independently")
+    return design
+
+
 def fit_error_rates(observations: Sequence[tuple[OpCounts, float]],
                     channels: Sequence[str] = CHANNELS) -> FitResult:
     """Least-squares fit of -log F against operation counts.
@@ -51,16 +76,9 @@ def fit_error_rates(observations: Sequence[tuple[OpCounts, float]],
     ``observations`` pairs each circuit's counts with its measured log
     fidelity (non-positive).  Only the requested channels are fit; the
     others are assumed error-free.  Raises RankDeficientError when the
-    count columns do not separate the channels (for example all
-    observations share the same N1/N2 ratio while fitting both).
+    count columns do not separate the channels; see :func:`design_matrix`.
     """
-    requested = tuple(dict.fromkeys(channels))
-    unknown = [c for c in requested if c not in CHANNELS]
-    if unknown:
-        raise ValueError(f"unknown channels {unknown}; expected from {CHANNELS}")
-    if not requested:
-        raise ValueError("at least one channel to fit is required")
-    fit_channels = tuple(c for c in CHANNELS if c in requested)
+    fit_channels = _fit_channels(channels)
     if len(observations) < 2:
         raise ValueError(
             f"need at least 2 observations, got {len(observations)}")
@@ -71,16 +89,9 @@ def fit_error_rates(observations: Sequence[tuple[OpCounts, float]],
                 f"observation {i}: log-fidelity must be finite and <= 0, "
                 f"got {log_f!r} (pass log F, not F)")
 
-    design = np.array(
-        [[float(counts.count(c)) for c in fit_channels]
-         for counts, _ in observations], dtype=np.float64)
+    design = design_matrix([counts for counts, _ in observations], fit_channels)
     y = np.array([-log_f for _, log_f in observations], dtype=np.float64)
-
     k = len(fit_channels)
-    if np.linalg.matrix_rank(design) < k:
-        raise RankDeficientError(
-            f"observation counts do not separate channels {fit_channels}; "
-            "vary the per-channel counts independently")
 
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
     residuals = y - design @ coef

@@ -10,17 +10,12 @@ reproducible gate counts.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from . import MAX_QUBITS
 from .circuit import Circuit
-from .engine import NoiseModel, mean_over_trajectories
+from .engine import Estimate, NoiseModel, mean_over_trajectories
 from .gates import Gate, cnot, h, rz, x
-
-
-class SuccessEstimate(NamedTuple):
-    probability: float
-    std_error: float
 
 
 def controlled_phase_gates(qubits: Sequence[int], theta: float) -> list[Gate]:
@@ -108,7 +103,7 @@ def ideal_success_probability(n: int, iterations: int) -> float:
 
 def grover_success_probability(n: int, marked: str, iterations: int,
                                noise: NoiseModel, n_traj: int,
-                               seed: int) -> SuccessEstimate:
+                               seed: int) -> Estimate:
     """Mean probability of measuring `marked`, over noisy trajectories.
 
     Trajectory i uses seed+i, exactly as in estimate_fidelity; a noise
@@ -117,6 +112,6 @@ def grover_success_probability(n: int, marked: str, iterations: int,
     """
     circuit = build_grover_circuit(n, marked, iterations)
     index = int(marked, 2)
-    return SuccessEstimate(*mean_over_trajectories(
+    return mean_over_trajectories(
         circuit, noise, n_traj, seed,
-        lambda _, state: float(state[index].real ** 2 + state[index].imag ** 2)))
+        lambda _, state: float(state[index].real ** 2 + state[index].imag ** 2))

@@ -182,7 +182,7 @@ def test_08_search_closed_form(announce):
             n, "1" * n, k, NoiseModel(ErrorBudget()), 5, seed=0)
         closed = ideal_success_probability(n, k)
         # noiseless: sigma = 0, so the band reduces to numerical error
-        checks.append(abs(est.probability - closed) <= 3 * est.std_error + 1e-9)
+        checks.append(abs(est.mean - closed) <= 3 * est.std_error + 1e-9)
     anchor_32 = abs(ideal_success_probability(3, 2) - 0.9453) <= 1e-3
     anchor_21 = ideal_success_probability(2, 1) == 1.0
     announce(8, "search success matches the closed form",
@@ -199,7 +199,7 @@ def test_09_noisy_search_collapse(announce):
         est = grover_success_probability(
             n, "1" * n, k, NoiseModel(ErrorBudget(eps2=eps2)), n_traj,
             seed=7000 + i * n_traj)
-        points.append((eps2, est.probability, est.std_error))
+        points.append((eps2, est.mean, est.std_error))
 
     no_significant_rise = all(
         p2 <= p1 + 3 * math.hypot(s1, s2)

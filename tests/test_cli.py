@@ -205,6 +205,27 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"qfeas: error: {flag[2:]} must be") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("hardware, noise, channels", [
+        ("best-2023", "", "('one_qubit', 'two_qubit')"),
+        ("sc-2020", ", noise: {eps0: 1.0e-3, eps2: 5.0e-3}", "('idle', 'two_qubit')"),
+    ])
+    def test_inseparable_fit_fails_before_any_trajectory(self, tmp_path, capsys,
+                                                         monkeypatch, hardware, noise,
+                                                         channels):
+        # random circuits have no idle gates, and N1/N2 is the same at every depth
+        def no_run(*args):
+            raise AssertionError("ran trajectories for a fit that cannot work")
+        monkeypatch.setattr("qfeas.sim.engine.estimate_fidelity", no_run)
+        text = (f"hardware: {hardware}\nalgorithm: {{kind: shor, size: 16}}\n"
+                "simulation: {kind: random, qubits: 6, depths: [25, 50, 100, 200], "
+                f"trajectories: 1000{noise}}}\n")
+        assert main(["simulate", write(tmp_path, "n.yaml", text)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qfeas: error: observation counts do not separate "
+                                f"channels {channels}; vary the per-channel counts "
+                                "independently\n")
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "n.yaml", SIM_RANDOM)
         main(["simulate", path, "--format", "machine"])
@@ -399,3 +420,102 @@ class TestOutputFile:
         main(["estimate", scenario, "--format", "machine", "--output", str(out_path)])
         stdout = capsys.readouterr().out
         assert out_path.read_text() == stdout
+
+
+SIM_GROVER_NOISY = SIM_GROVER.replace("noise: {}", "noise: {eps2: 2.0e-2}")
+
+#: Full table text per command, pinned so a change to how a command picks
+#: or renders its table shows here, not only in a substring check.
+TABLES = {
+    "estimate-feasible": (["estimate", CHEM_FEASIBLE], 0, """\
+algorithm        chemistry n=30 (target fidelity 0.999)
+two-qubit gates  7.29e+08
+required eps2    1.372e-12
+gap factor       0.07286
+log fidelity     -7.29e-05  (fidelity 0.9999)
+runtime          72.9 s = 2.31e-06 years (sequential)
+verdict          feasible
+scaling
+  encoding: 30 logical qubits at n_c=2 -> 600 physical qubits (factory overhead included)
+  syndrome stream: 6e+08 bit/s (0.6 gigabit cables)
+  decoder load: 6e+08 ops/s at 1 op/bit
+  fabrication yield: 0.002405 (log -6.03)
+  chip area: 0.0006 m^2
+  cryogenics: 1 fridges drawing 1e+04 W
+  wiring: 600 lines at 1/qubit
+  logical runtime: 7.29e+06 s
+"""),
+    "estimate-infeasible": (["estimate", SHOR_2048], 2, """\
+algorithm        shor n=2048 (target fidelity 0.3679)
+two-qubit gates  8.59e+10
+required eps2    1.164e-11
+gap factor       8.59e+07
+log fidelity     -8.59e+07  (fidelity 0)
+runtime          8590 s = 0.0002722 years (sequential)
+verdict          infeasible
+scaling
+  encoding: 4096 logical qubits at n_c=120 -> 4.915e+06 physical qubits (factory overhead included)
+  syndrome stream: 4.915e+12 bit/s (4915 gigabit cables)
+  decoder load: 4.915e+12 ops/s at 1 op/bit
+  fabrication yield: 0 (log -4.94e+04)
+  chip area: 4.915 m^2
+  cryogenics: 10 fridges drawing 1e+05 W
+  wiring: 4.915e+06 lines at 1/qubit
+  yield underflows: no working chip at any production volume
+  wiring at 1 lines/qubit (4.915e+06) exceeds the feasible-lines budget (1e+06)
+  wiring at 2 lines/qubit (9.83e+06) exceeds the feasible-lines budget (1e+06)
+  wiring at 4 lines/qubit (1.966e+07) exceeds the feasible-lines budget (1e+06)
+  logical runtime: 8.59e+08 s
+"""),
+    "estimate-qec-unreachable": (["estimate", GROVER_FLOOR], 3, """\
+algorithm        grover n=100 (target fidelity 0.3679)
+two-qubit gates  1.126e+17
+required eps2    8.882e-18
+gap factor       1.126e+14
+log fidelity     -1.126e+14  (fidelity 0)
+runtime          1.126e+10 s = 356.8 years (sequential)
+verdict          infeasible
+qec              grover n=100 needs eps_L <= 8.882e-18 per logical operation: \
+no code size in [1, 1000000] reaches eps_L <= 8.881784197001253e-18 at eps2=0.001 \
+(floor 0.001543)
+"""),
+    "simulate-random-fit": (["simulate", SIM_RANDOM], 0, """\
+trajectories     200 (seed 5)
+depth  N0  N1    N2    mean fidelity  std error
+10     0   40    20    0.927188       0.0178
+20     0   80    40    0.868235       0.0233
+fitted two_qubit  0.003582 (95% CI [0.003388, 0.003776], injected 0.005)
+"""),
+    "simulate-random-no-fit": (["simulate", SIM_ZERO_NOISE], 0, """\
+trajectories     50 (seed 0)
+depth  N0  N1    N2    mean fidelity  std error
+10     0   40    20    1              0
+20     0   80    40    1              0
+fit              skipped (fewer than 2 usable points or no channel selected)
+"""),
+    "simulate-grover": (["simulate", SIM_GROVER_NOISY], 0, """\
+trajectories     50 (seed 0)
+search           n=3 marked=111 iterations=2
+success          0.6397 +/- 0.05662 (noiseless closed form 0.9453)
+"""),
+    "presets": (["presets"], 0, """\
+name       eps1     eps2     t2
+sc-2009    0        0.1      1e-06
+sc-2014    0        0.01     1e-05
+sc-2020    0        0.001    0.0001
+best-2023  0.0001   0.002    0.0001
+"""),
+    "fit": (["fit", TestFitCommand.DATA], 0, """\
+fitted idle       9.5e-05 (95% CI [5.182e-06, 0.0001848])
+fitted two_qubit  0.002025 (95% CI [0.001981, 0.002069])
+"""),
+}
+
+
+@pytest.mark.parametrize("case", list(TABLES))
+def test_table_text_is_pinned(tmp_path, capsys, case):
+    (command, *text), code, table = TABLES[case]
+    argv = [command] + [write(tmp_path, "input", t) for t in text]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (table, "")

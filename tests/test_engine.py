@@ -14,7 +14,6 @@ from qfeas.model import CHANNELS, ErrorBudget
 from qfeas.sim.circuit import Circuit, random_circuit
 from qfeas.sim.engine import (
     PAULI_PAIRS,
-    FidelityEstimate,
     NoiseModel,
     apply_gate,
     estimate_fidelity,
@@ -229,7 +228,6 @@ class TestEstimateFidelity:
         est = estimate_fidelity(random_circuit(4, 10, 2), NoiseModel(ErrorBudget()), 50, 0)
         assert est.mean == 1.0
         assert est.std_error == 0.0
-        assert est.n_trajectories == 50
 
     def test_channel_count_separation(self):
         # one-qubit noise cannot touch a circuit made only of CZ gates

@@ -103,13 +103,13 @@ class TestClosedForm:
     def test_simulation_matches_closed_form(self, n, k):
         est = grover_success_probability(n, "1" * n, k, NoiseModel(ErrorBudget()), 5, 0)
         assert est.std_error == 0.0
-        assert est.probability == pytest.approx(ideal_success_probability(n, k), abs=1e-9)
+        assert est.mean == pytest.approx(ideal_success_probability(n, k), abs=1e-9)
 
     def test_success_independent_of_which_state_is_marked(self):
         base = grover_success_probability(3, "111", 2, NoiseModel(ErrorBudget()), 5, 0)
         for marked in ("000", "101", "010"):
             got = grover_success_probability(3, marked, 2, NoiseModel(ErrorBudget()), 5, 0)
-            assert got.probability == pytest.approx(base.probability, rel=1e-10)
+            assert got.mean == pytest.approx(base.mean, rel=1e-10)
 
     def test_marked_state_carries_the_amplitude(self):
         c = build_grover_circuit(3, "101", 2)
@@ -122,7 +122,7 @@ class TestNoisyGrover:
         clean = grover_success_probability(4, "1111", 3, NoiseModel(ErrorBudget()), 200, 0)
         noisy = grover_success_probability(
             4, "1111", 3, NoiseModel(ErrorBudget(eps2=0.01)), 200, 0)
-        assert noisy.probability < clean.probability
+        assert noisy.mean < clean.mean
         assert noisy.std_error > 0.0
 
     def test_reproducible(self):

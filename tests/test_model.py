@@ -133,6 +133,11 @@ class TestRequiredErrorRate:
         with pytest.raises(ZeroCountError):
             required_error_rate(OpCounts(n1=100), 0.5, "two_qubit")
 
+    def test_underflowing_rate_is_an_error(self):
+        # -ln(1 - 2^-53) over 1e308 gates is below the smallest subnormal
+        with pytest.raises(ValueError, match="two_qubit rate.*underflows to 0"):
+            required_error_rate(OpCounts(n2=1e308), 0.9999999999999999, "two_qubit")
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.2])
     def test_target_must_be_strictly_inside_unit_interval(self, bad):
         with pytest.raises(ValueError):

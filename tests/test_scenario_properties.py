@@ -212,6 +212,9 @@ def _check_output_contract(scenario_path, text):
 # a faulty key rarely reaches code-size selection among the generated cases
 @example(text=f"hardware: sc-2020\nalgorithm: {{kind: shor, size: 2048}}\n"
               f"qec: {{nc_max: {10 ** 400}}}\n")
+# the required eps2 underflows to 0 (it once ended in a ZeroDivisionError)
+@example(text="hardware: sc-2009\nalgorithm: {kind: chemistry, size: 100, "
+              "chemistry_prefactor: 1.0e+296, target_fidelity: 0.9999999999999999}\n")
 def test_estimate_output_contract_is_total(scenario_path, text):
     _check_output_contract(scenario_path, text)
 

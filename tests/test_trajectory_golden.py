@@ -47,4 +47,4 @@ def test_grover_success_probability_bits(n, marked, iterations, budget, n_traj, 
                                          probability, std_error):
     est = grover_success_probability(n, marked, iterations, NoiseModel(budget),
                                      n_traj, seed)
-    assert (est.probability.hex(), est.std_error.hex()) == (probability, std_error)
+    assert (est.mean.hex(), est.std_error.hex()) == (probability, std_error)
