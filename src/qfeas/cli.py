@@ -290,10 +290,36 @@ def _fit_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def _non_finite(doc: object, path: str = "") -> tuple[str, float] | None:
+    """The dotted path and value of the first float in ``doc`` that is not
+    finite, in the order ``json.dumps(sort_keys=True)`` writes them."""
+    if isinstance(doc, float):
+        return None if math.isfinite(doc) else (path, doc)
+    if isinstance(doc, dict):
+        items = ((f"{path}.{key}" if path else key, doc[key]) for key in sorted(doc))
+    elif isinstance(doc, (list, tuple)):
+        items = ((f"{path}[{i}]", value) for i, value in enumerate(doc))
+    else:
+        return None
+    for key, value in items:
+        found = _non_finite(value, key)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(doc: dict, args: argparse.Namespace, table: Callable[[dict], str]) -> None:
     # Serialised first in every format, so a document that is not strict
     # JSON fails the same way whatever goes to stdout.
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        found = _non_finite(doc)
+        if found is None:
+            raise
+        field, value = found
+        problem = "is not a number" if math.isnan(value) else "is beyond the float range"
+        raise ValueError(f"{field} {problem}") from None
     print(text if args.format == "machine" else table(doc))
     if args.output:
         Path(args.output).write_text(text + "\n", encoding="ascii")

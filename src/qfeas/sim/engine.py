@@ -2,12 +2,26 @@
 
 Gates act through strided slice arithmetic on complex128 amplitudes (no
 matrix products), so a run is a fixed sequence of elementwise operations
-and a rerun reproduces its output bit for bit.  The same kernel takes one
-register, a 1-D array of 2^n amplitudes, or a block of registers, a
-(rows, 2^n) array: the rows fold into the leading axis of each reshape,
-and every amplitude sees the same operations either way.  (numpy rounds
-a complex product on a single amplitude by another loop than on several,
-so 1-qubit trajectories run one row per block.)
+and a rerun reproduces its output bit for bit.  One kernel,
+``_apply_inplace``, takes every layout as a (lead, 2^n, trail) view:
+
+* a single register, 2^n amplitudes, is (1, 2^n, 1);
+* a block of fewer than ``_WIDE`` rows is stored row-major, a
+  (rows, 2^n) array whose rows ride in ``lead``;
+* a block of ``_WIDE`` rows or more is stored rows innermost, a
+  (2^n, rows) array whose rows ride in ``trail``, so each pass walks
+  contiguous runs of (low amplitudes x rows) instead of one short run
+  per row.
+
+Every amplitude sees the same operations in every layout.  They also
+round alike as long as a pass holds at least two amplitudes wherever the
+serial run's pass does: numpy rounds a complex product on one amplitude
+by another loop than on several.  A gate is one pass over all the
+joined rows, except that a one-qubit gate on qubit n-2 of a row-major
+view splits into two passes once each holds ``_SPLIT`` amplitudes, so a
+block's pass is never shorter than two amplitudes where the serial
+run's is longer.  On one qubit the serial run's passes hold a single
+amplitude, so 1-qubit trajectories run one row per block.
 
 Noisy trajectories run as the rows of such blocks, each block capped at
 ``_BATCH_BYTES``.  Every gate is applied once to the rows that have
@@ -120,63 +134,88 @@ def _check_targets(gate: Gate, n_qubits: int) -> None:
                 f"{n_qubits}-qubit register")
 
 
+#: A one-qubit gate on qubit n-2 of a row-major view runs as two strided
+#: passes once each pass holds this many amplitudes.  From 64 on, H, T, RX
+#: and X all ran at least as fast split (a 10-qubit register: H 18 us
+#: against 38 us whole); at 16 and 32, T and X ran slower split.
+_SPLIT = 64
+
+
+def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray) -> None:
+    """A one-qubit gate on the amplitude pairs (a, b): target bit 0, 1."""
+    kind = gate.kind
+    if kind == "X":
+        tmp = a.copy()
+        a[:] = b
+        b[:] = tmp
+    elif kind == "Z":
+        b *= -1.0
+    elif kind == "H":
+        tmp = a - b
+        a += b
+        a *= _SQ2
+        np.multiply(tmp, _SQ2, out=b)
+    elif kind == "T":
+        b *= _T_PHASE
+    elif kind == "S":
+        b *= 1j
+    elif kind == "Y":
+        tmp = a.copy()
+        np.multiply(b, -1j, out=a)
+        np.multiply(tmp, 1j, out=b)
+    elif kind == "RZ":
+        half = gate.theta / 2.0
+        a *= cmath.exp(-1j * half)
+        b *= cmath.exp(1j * half)
+    elif kind == "RX":
+        c = math.cos(gate.theta / 2.0)
+        sv = -1j * math.sin(gate.theta / 2.0)
+        sv_b = sv * b
+        sv_a = sv * a
+        a *= c
+        a += sv_b
+        b *= c
+        b += sv_a
+    else:
+        raise AssertionError(f"unhandled kind {kind!r}")
+
+
 def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
+    """Apply the gate in place to ``state``, a (lead, 2^n, trail) view of
+    one register or of a block's joined rows (see the module docstring).
+
+    With ``trail`` 1, a one-qubit gate on qubit n-2, whose amplitude
+    pairs lie in runs of two, runs as two strided passes, one per low
+    index, instead of one loop of two-amplitude runs, where each pass
+    holds at least ``_SPLIT`` amplitudes.
+    """
     kind = gate.kind
     if kind == "IDLE":
         return
+    lead, _, trail = state.shape
     if not gate.is_two_qubit:
         q = gate.targets[0]
-        m = state.reshape(-1, 2, 1 << (n - q - 1))
-        a = m[:, 0, :]
-        b = m[:, 1, :]
-        if kind == "X":
-            tmp = a.copy()
-            a[:] = b
-            b[:] = tmp
-        elif kind == "Z":
-            b *= -1.0
-        elif kind == "H":
-            tmp = a - b
-            a += b
-            a *= _SQ2
-            np.multiply(tmp, _SQ2, out=b)
-        elif kind == "T":
-            b *= _T_PHASE
-        elif kind == "S":
-            b *= 1j
-        elif kind == "Y":
-            tmp = a.copy()
-            np.multiply(b, -1j, out=a)
-            np.multiply(tmp, 1j, out=b)
-        elif kind == "RZ":
-            half = gate.theta / 2.0
-            a *= cmath.exp(-1j * half)
-            b *= cmath.exp(1j * half)
-        elif kind == "RX":
-            c = math.cos(gate.theta / 2.0)
-            sv = -1j * math.sin(gate.theta / 2.0)
-            sv_b = sv * b
-            sv_a = sv * a
-            a *= c
-            a += sv_b
-            b *= c
-            b += sv_a
+        low = 1 << (n - q - 1)
+        m = state.reshape(lead << q, 2, low, trail)
+        if trail == 1 and low == 2 and lead << q >= _SPLIT:
+            for j in (0, 1):
+                _one_qubit(gate, m[:, 0, j, 0], m[:, 1, j, 0])
         else:
-            raise AssertionError(f"unhandled kind {kind!r}")
+            _one_qubit(gate, m[:, 0], m[:, 1])
         return
     t0, t1 = gate.targets
     p0, p1 = (t0, t1) if t0 < t1 else (t1, t0)
-    v = state.reshape(-1, 2, 1 << (p1 - p0 - 1), 2, 1 << (n - p1 - 1))
+    v = state.reshape(lead << p0, 2, 1 << (p1 - p0 - 1), 2, 1 << (n - p1 - 1), trail)
     if kind == "CZ":
-        v[:, 1, :, 1, :] *= -1.0
+        v[:, 1, :, 1] *= -1.0
     elif kind == "CNOT":
         if t0 < t1:  # control is the earlier axis
             sub = v[:, 1]
-            tmp = sub[:, :, 0, :].copy()
-            sub[:, :, 0, :] = sub[:, :, 1, :]
-            sub[:, :, 1, :] = tmp
+            tmp = sub[:, :, 0].copy()
+            sub[:, :, 0] = sub[:, :, 1]
+            sub[:, :, 1] = tmp
         else:
-            sub = v[:, :, :, 1, :]
+            sub = v[:, :, :, 1]
             tmp = sub[:, 0].copy()
             sub[:, 0] = sub[:, 1]
             sub[:, 1] = tmp
@@ -189,7 +228,7 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     out = np.array(state, dtype=np.complex128)
     n = _register_width(out)
     _check_targets(gate, n)
-    _apply_inplace(out, gate, n)
+    _apply_inplace(out[None, :, None], gate, n)
     return out
 
 
@@ -255,12 +294,13 @@ def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumSta
     its gate."""
     state = zero_state(circuit.n_qubits)
     n = circuit.n_qubits
+    view = state[None, :, None]
     for i, gate in enumerate(circuit.gates):
-        _apply_inplace(state, gate, n)
+        _apply_inplace(view, gate, n)
         extra = insertions.get(i)
         if extra is not None:
             for pauli in extra:
-                _apply_inplace(state, pauli, n)
+                _apply_inplace(view, pauli, n)
     return state
 
 
@@ -286,37 +326,64 @@ def state_fidelity(a: QuantumState, b: QuantumState) -> float:
 #: max(1, _BATCH_BYTES // (16 * 2^n)) rows of 2^n amplitudes.
 _BATCH_BYTES = 1 << 20
 
+#: Blocks of at least this many rows are stored rows innermost.  Rows join
+#: a block late, and stored innermost a few joined rows make short runs:
+#: at 2 to 4 rows on 10 qubits row-major is faster, from 16 rows on rows
+#: innermost is 10-25% faster on 6 and 10 qubits.  Search blocks hold at
+#: most 4 rows, decay blocks about 100 to 560.
+_WIDE = 16
+
 
 def _run_block(circuit: Circuit, block: list[_Insertions]) -> np.ndarray:
-    """Run each entry of ``block`` as one row of a (rows, 2^n) array and
-    return the array.
+    """Run each entry of ``block`` as one row of a block of registers and
+    return the block as a contiguous (rows, 2^n) array.
 
-    Each gate acts once on the rows that have joined, ``states[:active]``;
-    an insertion then acts on its own row, so every row sees the serial
-    run's operations in its order.  If row 0 is the ideal run (no
-    insertions), the other rows, ordered by their first insertion, join
-    as copies of row 0 just after that insertion's gate: up to there a
-    row sees exactly the ideal run's operations.  Otherwise every row
+    A block of at least ``_WIDE`` rows is stored rows innermost, as a
+    (2^n, rows) array, so that every pass of a gate walks the joined
+    rows of each amplitude as one contiguous run; it is transposed back
+    to contiguous rows once the last gate has run.  A narrower block is
+    stored row-major, as the (rows, 2^n) array it returns.
+
+    Each gate acts once on the rows that have joined, the first
+    ``active``; an insertion then acts on its own row, so every row sees
+    the serial run's operations in its order.  If row 0 is the ideal run
+    (no insertions), the other rows, ordered by their first insertion,
+    join as copies of row 0 just after that insertion's gate: up to there
+    a row sees exactly the ideal run's operations.  Otherwise every row
     runs from |0...0>.
     """
     n = circuit.n_qubits
-    states = np.zeros((len(block), 1 << n), dtype=np.complex128)
-    active = 1 if not block[0] else len(block)
-    states[:active, 0] = 1.0
-    joins = [min(insertions, default=-1) for insertions in block]
+    wide = len(block) >= _WIDE
+    states = np.zeros((1 << n, len(block)) if wide else (len(block), 1 << n),
+                      dtype=np.complex128)
+    grid = states.T if wide else states  # grid[r] is row r's amplitudes
+
+    def head(active: int) -> np.ndarray:
+        """The joined rows as a (lead, 2^n, trail) view."""
+        return grid[:active].T[None] if wide else grid[:active, :, None]
+
+    active = len(block)
+    joined: dict[int, int] = {}  # gate index -> rows joined once its joins are in
+    if not block[0]:
+        active = 1
+        for r, insertions in enumerate(block[1:], start=2):
+            joined[min(insertions)] = r
+    grid[:active, 0] = 1.0
     after: dict[int, list[tuple[int, tuple[Gate, ...]]]] = {}
     for r, insertions in enumerate(block):
         for index, paulis in insertions.items():
             after.setdefault(index, []).append((r, paulis))
+    view = head(active)
     for g, gate in enumerate(circuit.gates):
-        _apply_inplace(states[:active], gate, n)
-        while active < len(block) and joins[active] == g:
-            states[active] = states[0]
-            active += 1
+        _apply_inplace(view, gate, n)
+        if g in joined:
+            grid[active:joined[g]] = grid[0]
+            active = joined[g]
+            view = head(active)
         for r, paulis in after.get(g, ()):
             for pauli in paulis:
-                _apply_inplace(states[r], pauli, n)
-    return states
+                _apply_inplace(grid[r][None, :, None], pauli, n)
+    return np.ascontiguousarray(grid)
 
 
 def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,

@@ -361,6 +361,13 @@ class TestOutputContract:
         assert out == "" and not (tmp_path / "out.json").exists()
         assert err.startswith("qfeas: error: ") and err.count("\n") == 1
 
+    def test_non_finite_document_names_the_field(self, tmp_path, capsys):
+        text = ("hardware: {preset: sc-2020, gate_time_2q: 1.0e+300}\n"
+                "algorithm: {kind: shor, size: 100000}\n")
+        assert main(["estimate", write(tmp_path, "inf.yaml", text)]) == 1
+        assert capsys.readouterr().err == (
+            "qfeas: error: feasibility.sequential_runtime_s is beyond the float range\n")
+
     def test_non_finite_fit_fails_in_every_format(self, tmp_path, capsys):
         data = "1e200 1e200 0 -1\n1e200 2e200 0 -2\n3e200 1e200 0 -2\n"
         path = write(tmp_path, "d.txt", data)

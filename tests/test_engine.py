@@ -119,6 +119,31 @@ class TestApplyGate:
                 apply_gate(st, gate), dense_apply(st, gate, 5), atol=1e-14)
             st = apply_gate(st, gate)
 
+    @pytest.mark.parametrize("n", [8, 11])
+    def test_matches_dense_oracle_on_split_passes(self, n):
+        # qubit n-2 of a register this wide runs as two strided passes
+        st = random_state(n, n)
+        for gate in (h(n - 2), rx(n - 2, 0.8), y(n - 2), x(n - 2), rx(n - 2, -1.2)):
+            np.testing.assert_allclose(
+                apply_gate(st, gate), dense_apply(st, gate, n), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11])
+    def test_phase_gates_round_as_one_pass_over_the_register(self, n):
+        """numpy rounds a complex product on one amplitude differently
+        from the same product in a longer loop, so however the kernel
+        splits its passes, T and RZ must give the bits of one numpy pass
+        over all the amplitudes they scale."""
+        for q in range(n):
+            for gate in (t(q), rz(q, 0.37)):
+                st = random_state(n, 7 * n + q)
+                want = st.copy()
+                pairs = want.reshape(-1, 2, 1 << (n - q - 1))
+                phases = np.diag(gate_matrix(gate))
+                if gate.kind == "RZ":
+                    pairs[:, 0] *= phases[0]
+                pairs[:, 1] *= phases[1]
+                assert apply_gate(st, gate).tobytes() == want.tobytes(), (n, gate)
+
     def test_out_of_range_target(self):
         # a bare Gate carries no register width, so apply_gate's own
         # target check is the only one between it and a numpy error

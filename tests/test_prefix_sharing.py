@@ -3,7 +3,9 @@
 ``_run_block`` lets a noisy row join just after its first insertion's
 gate as a copy of the ideal row 0; a block without an ideal row runs
 every row from |0...0>.  Each row must still match the serial oracle
-``run_with_insertions`` bit for bit.  ``_blocks`` draws every
+``run_with_insertions`` bit for bit, in both block layouts: below
+``_WIDE`` rows a block is row-major, from ``_WIDE`` rows on it stores
+the rows innermost.  ``_blocks`` draws every
 trajectory with one Philox generator re-keyed by ``_rekey``, which must
 give the stream of a fresh ``Generator(Philox(seed))``.
 """
@@ -19,6 +21,7 @@ from qfeas import ErrorBudget
 from qfeas.sim import engine
 from qfeas.sim.circuit import Circuit, random_circuit
 from qfeas.sim.engine import (
+    _WIDE,
     NoiseModel,
     _blocks,
     _draw,
@@ -62,31 +65,46 @@ CIRCUIT = Circuit(3, (
 ))
 LAST = len(CIRCUIT.gates) - 1
 
+#: Block sizes on each side of ``_WIDE``: row-major, then rows innermost.
+WIDTHS = (7, _WIDE)
 
-def _assert_rows_match_oracle(block):
-    states = _run_block(CIRCUIT, block)
+
+def _assert_rows_match_oracle(circuit, block):
+    states = _run_block(circuit, block)
+    assert states.shape == (len(block), 1 << circuit.n_qubits)
     for row, insertions in zip(states, block):
-        assert row.tobytes() == run_with_insertions(CIRCUIT, insertions).tobytes()
+        assert row.tobytes() == run_with_insertions(circuit, insertions).tobytes()
+
+
+def _filler(width, lowest):
+    """Rows that fill a block to ``width``, with their first insertion at
+    gate ``lowest`` or later, cycling over gates, qubits and Paulis."""
+    return [{lowest + k % (LAST + 1 - lowest): (Gate("XYZ"[k % 3], (k % 3,)),)}
+            for k in range(width)]
 
 
 def test_rows_join_after_gate_zero_the_last_gate_and_together():
     x0, z1, y2 = Gate("X", (0,)), Gate("Z", (1,)), Gate("Y", (2,))
-    block = [
-        {},
+    noisy = [
         {0: (x0,)},                      # joins after gate 0
         {0: (z1,), 4: (y2,)},
-        {3: (y2,)},                      # three rows join after gate 3
+        {3: (y2,)},                      # rows join together after gate 3
         {3: (x0, z1)},
         {3: (z1,), LAST: (x0,)},
         {LAST: (y2,)},                   # joins after the last gate
     ]
-    _assert_rows_match_oracle(block)
-    assert _run_block(CIRCUIT, block)[0].tobytes() == run_ideal(CIRCUIT).tobytes()
+    for width in WIDTHS:
+        block = [{}] + sorted(noisy + _filler(width - 1 - len(noisy), 1), key=min)
+        assert len(block) == width
+        _assert_rows_match_oracle(CIRCUIT, block)
+        assert _run_block(CIRCUIT, block)[0].tobytes() == run_ideal(CIRCUIT).tobytes()
 
 
 def test_block_without_ideal_row_runs_every_row_from_the_start():
     # no ideal row 0, so the rows need not be ordered by first insertion
-    _assert_rows_match_oracle([{LAST: (Gate("X", (1,)),)}, {0: (Gate("Z", (0,)),)}])
+    rows = [{LAST: (Gate("X", (1,)),)}, {0: (Gate("Z", (0,)),)}]
+    for width in WIDTHS:
+        _assert_rows_match_oracle(CIRCUIT, rows + _filler(width - len(rows), 0)[::-1])
 
 
 def test_blocks_are_ordered_by_first_insertion_and_led_by_the_ideal_row():
@@ -107,17 +125,21 @@ def test_blocks_are_ordered_by_first_insertion_and_led_by_the_ideal_row():
     assert owners == [i for i in range(40) if not clean[i]]
 
 
-@pytest.mark.parametrize("rows", [2, 3])
+@pytest.mark.parametrize("rows", [2, 3, _WIDE])
 def test_later_blocks_match_the_serial_oracle(rows):
-    """At two rows a later block holds no ideal row; at three it leads
-    with its own."""
+    """At two rows a later block holds no ideal row; at three, and at a
+    block wide enough to store its rows innermost, it leads with its own."""
+    n_traj = 30 if rows < _WIDE else 150
     circuit = random_circuit(4, 10, 3)
     noise = NoiseModel(ErrorBudget(eps0=0.02, eps1=0.03, eps2=0.08))
-    clean = np.zeros(30, dtype=bool)
-    blocks = list(_blocks(noise_sites(circuit, noise), 30, 17, rows, clean))
+    clean = np.zeros(n_traj, dtype=bool)
+    blocks = list(_blocks(noise_sites(circuit, noise), n_traj, 17, rows, clean))
     assert len(blocks) > 3
     assert all(len(block) - len(owners) == (rows > 2) for owners, block in blocks[1:])
-    assert _batched(circuit, noise, 30, 17, rows) == _serial(circuit, noise, 30, 17)
+    assert all(len(block) == rows for _, block in blocks[:-1])
+    for _, block in blocks:
+        _assert_rows_match_oracle(circuit, block)
+    assert _batched(circuit, noise, n_traj, 17, rows) == _serial(circuit, noise, n_traj, 17)
 
 
 def test_one_qubit_circuit_matches_the_serial_oracle():
