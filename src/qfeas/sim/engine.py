@@ -44,8 +44,12 @@ the ideal alone, draws nothing, and gives
 Noise realization per trajectory, given the trajectory seed:
 
 1. the trajectory's generator is in the state of a fresh
-   ``Generator(Philox(seed))`` (one generator serves a whole run,
-   re-keyed to that state before each trajectory);
+   ``Generator(Philox(seed))``.  One generator serves a whole run, and
+   before each trajectory it is given that seed's key, counter 0 and an
+   empty buffer.  The keys of seeds below 2^128 are derived many at a
+   time by array operations that repeat ``SeedSequence(seed)``'s word
+   hash; from 2^128 on a seed has more than four entropy words, and its
+   key comes from ``SeedSequence`` itself;
 2. one block ``rng.random(len(sites))`` is drawn, where sites are the
    gates with a nonzero rate for their channel (IDLE -> eps0, other
    one-qubit -> eps1, two-qubit -> eps2), in circuit order;
@@ -141,8 +145,14 @@ def _check_targets(gate: Gate, n_qubits: int) -> None:
 _SPLIT = 64
 
 
-def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray) -> None:
-    """A one-qubit gate on the amplitude pairs (a, b): target bit 0, 1."""
+def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
+    """A one-qubit gate on the amplitude pairs (a, b): target bit 0, 1.
+
+    ``scratch`` is a flat complex128 area of at least 2 * a.size
+    amplitudes that holds H's and RX's temporaries (H: a - b; RX: the
+    products sv * b and sv * a), each shaped like ``a``; its contents
+    before and after the call mean nothing.
+    """
     kind = gate.kind
     if kind == "X":
         tmp = a.copy()
@@ -151,7 +161,7 @@ def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray) -> None:
     elif kind == "Z":
         b *= -1.0
     elif kind == "H":
-        tmp = a - b
+        tmp = np.subtract(a, b, out=scratch[:a.size].reshape(a.shape))
         a += b
         a *= _SQ2
         np.multiply(tmp, _SQ2, out=b)
@@ -170,8 +180,8 @@ def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray) -> None:
     elif kind == "RX":
         c = math.cos(gate.theta / 2.0)
         sv = -1j * math.sin(gate.theta / 2.0)
-        sv_b = sv * b
-        sv_a = sv * a
+        sv_b = np.multiply(sv, b, out=scratch[:a.size].reshape(a.shape))
+        sv_a = np.multiply(sv, a, out=scratch[a.size:2 * a.size].reshape(a.shape))
         a *= c
         a += sv_b
         b *= c
@@ -180,9 +190,10 @@ def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray) -> None:
         raise AssertionError(f"unhandled kind {kind!r}")
 
 
-def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
+def _apply_inplace(state: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> None:
     """Apply the gate in place to ``state``, a (lead, 2^n, trail) view of
-    one register or of a block's joined rows (see the module docstring).
+    one register or of a block's joined rows (see the module docstring),
+    with ``scratch`` of at least state.size amplitudes for ``_one_qubit``.
 
     With ``trail`` 1, a one-qubit gate on qubit n-2, whose amplitude
     pairs lie in runs of two, runs as two strided passes, one per low
@@ -199,9 +210,9 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int) -> None:
         m = state.reshape(lead << q, 2, low, trail)
         if trail == 1 and low == 2 and lead << q >= _SPLIT:
             for j in (0, 1):
-                _one_qubit(gate, m[:, 0, j, 0], m[:, 1, j, 0])
+                _one_qubit(gate, m[:, 0, j, 0], m[:, 1, j, 0], scratch)
         else:
-            _one_qubit(gate, m[:, 0], m[:, 1])
+            _one_qubit(gate, m[:, 0], m[:, 1], scratch)
         return
     t0, t1 = gate.targets
     p0, p1 = (t0, t1) if t0 < t1 else (t1, t0)
@@ -228,7 +239,7 @@ def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
     out = np.array(state, dtype=np.complex128)
     n = _register_width(out)
     _check_targets(gate, n)
-    _apply_inplace(out[None, :, None], gate, n)
+    _apply_inplace(out[None, :, None], gate, n, np.empty_like(out))
     return out
 
 
@@ -259,7 +270,7 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
     """Draw one trajectory's insertions with a fresh
     ``Generator(Philox(traj_seed))``, one site at a time; see the module
     docstring for the exact draw order.  This is the reference for the
-    batched loop's ``_draw``."""
+    batched loop's ``_draws``."""
     rng = np.random.Generator(np.random.Philox(traj_seed))
     if not sites:
         return {}
@@ -268,25 +279,104 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
             for u, (index, rate, targets) in zip(uniforms.tolist(), sites) if u < rate}
 
 
-def _draw(rng: np.random.Generator, sites: list[_Site], rates: np.ndarray) -> _Insertions:
-    """``sample_insertions`` from ``rng``, given the sites' rates as an
-    array: one comparison finds the sites that fire."""
-    uniforms = rng.random(len(sites))
-    return {sites[s][0]: _paulis(rng, sites[s][2])
-            for s in np.flatnonzero(uniforms < rates).tolist()}
+_MASK32 = 0xFFFFFFFF
 
 
-_ZERO4 = np.zeros(4, dtype=np.uint64)
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """init * mult^k mod 2^32 for k = 0..calls, as a uint32 column."""
+    values = [init]
+    for _ in range(calls):
+        values.append(values[-1] * mult & _MASK32)
+    return np.array(values, dtype=np.uint32)[:, None]
 
 
-def _rekey(rng: np.random.Generator, seed: int) -> None:
-    """Put ``rng``, a Philox generator, in the state of a fresh
-    ``Generator(Philox(seed))``: the key ``SeedSequence(seed)`` gives
-    Philox, counter 0 and an empty output buffer."""
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZERO4, "key": key},
-        "buffer": _ZERO4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+# numpy's SeedSequence hashes a seed below 2^128 as a pool of four uint32
+# words (a missing word hashes as zero) and derives Philox's key from the
+# pool.  Each call of its hashmix step takes the next value of a multiplier
+# that advances whatever the data, so every call's constants are known in
+# advance: 16 calls mix the pool, 4 draw the key's words.  The columns
+# broadcast over seeds.
+_POOL_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_KEY_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 4)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+#: Seeds from here on have more than four entropy words, which
+#: ``SeedSequence`` mixes in by another loop; their keys come from it.
+_ARRAY_SEEDS = 1 << 128
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s hashmix of row k of ``words`` (uint32, r rows),
+    with the multiplier at ``consts[k]``; ``consts`` holds r + 1 values."""
+    hashed = words ^ consts[:-1]
+    hashed *= consts[1:]
+    hashed ^= hashed >> 16
+    return hashed
+
+
+def _philox_keys(first: int, count: int) -> np.ndarray:
+    """The Philox keys of seeds first, ..., first + count - 1, count at
+    most 2^32, as a (count, 2) uint64 array: row i is
+    ``SeedSequence(first + i).generate_state(2, np.uint64)``, the key
+    ``Philox(first + i)`` starts from.  Seeds below ``_ARRAY_SEEDS`` are
+    hashed together, a few uint32 array operations over all of them; the
+    others one at a time by ``SeedSequence``."""
+    keys = np.empty((count, 2), dtype=np.uint64)
+    hashed = max(0, min(count, _ARRAY_SEEDS - first))
+    if hashed:
+        # the seeds' four 32-bit words, lowest first: the lowest counts up
+        # and wraps at most once, carrying into the others
+        pool = np.empty((4, hashed), dtype=np.uint32)
+        pool[0] = np.arange(hashed, dtype=np.uint32)
+        pool[0] += np.uint32(first & _MASK32)
+        carry = min(hashed, (1 << 32) - (first & _MASK32))
+        for k in (1, 2, 3):
+            pool[k, :carry] = first >> 32 * k & _MASK32
+            pool[k, carry:] = first + carry >> 32 * k & _MASK32
+        pool = _hashmix(pool, _POOL_HASH[:5])
+        # every word mixes into every other; a source word does not change
+        # while it mixes, so its three hashes are taken at once
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            mixed = pool[dst] * _MIX_L
+            mixed -= _hashmix(pool[src], _POOL_HASH[4 + 3 * src:8 + 3 * src]) * _MIX_R
+            mixed ^= mixed >> 16
+            pool[dst] = mixed
+        # a key is two little-endian uint64s, as SeedSequence views them
+        words = np.ascontiguousarray(_hashmix(pool, _KEY_HASH).T, dtype="<u4")
+        keys[:hashed] = words.view("<u8")
+    for i in range(hashed, count):
+        keys[i] = np.random.SeedSequence(first + i).generate_state(2, np.uint64)
+    return keys
+
+
+def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
+           clean: np.ndarray) -> Iterator[tuple[int, _Insertions]]:
+    """Draw the insertions of trajectories 0..count-1, with seeds first,
+    first + 1, ...: set clean[i] for each trajectory i that draws none and
+    yield (i, ``sample_insertions(sites, first + i)``) for the others.
+
+    ``rng``, a Philox generator, is put in the state of a fresh
+    ``Generator(Philox(first + i))`` before trajectory i: that seed's key,
+    counter 0 and an empty output buffer.  Keys are derived for as many
+    trajectories at a time as keep them within about one block's bytes.
+    """
+    rates = np.array([rate for _, rate, _ in sites], dtype=np.float64)
+    state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+             "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    # a key held as a Python list takes about 170 bytes, so a chunk of
+    # keys stays below one block's bytes
+    chunk = max(1, _BATCH_BYTES >> 8)
+    for start in range(0, count, chunk):
+        keys = _philox_keys(first + start, min(chunk, count - start)).tolist()
+        for i, key in enumerate(keys, start):
+            state["state"]["key"] = key
+            rng.bit_generator.state = state
+            fired = (rng.random(len(sites)) < rates).nonzero()[0]
+            if fired.size:
+                yield i, {sites[s][0]: _paulis(rng, sites[s][2]) for s in fired.tolist()}
+            else:
+                clean[i] = True
 
 
 def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
@@ -295,12 +385,13 @@ def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumSta
     state = zero_state(circuit.n_qubits)
     n = circuit.n_qubits
     view = state[None, :, None]
+    scratch = np.empty_like(state)
     for i, gate in enumerate(circuit.gates):
-        _apply_inplace(view, gate, n)
+        _apply_inplace(view, gate, n, scratch)
         extra = insertions.get(i)
         if extra is not None:
             for pauli in extra:
-                _apply_inplace(view, pauli, n)
+                _apply_inplace(view, pauli, n, scratch)
     return state
 
 
@@ -334,15 +425,19 @@ _BATCH_BYTES = 1 << 20
 _WIDE = 16
 
 
-def _run_block(circuit: Circuit, block: list[_Insertions]) -> np.ndarray:
+def _run_block(circuit: Circuit, block: list[_Insertions],
+               scratch: np.ndarray) -> np.ndarray:
     """Run each entry of ``block`` as one row of a block of registers and
     return the block as a contiguous (rows, 2^n) array.
 
-    A block of at least ``_WIDE`` rows is stored rows innermost, as a
-    (2^n, rows) array, so that every pass of a gate walks the joined
-    rows of each amplitude as one contiguous run; it is transposed back
-    to contiguous rows once the last gate has run.  A narrower block is
-    stored row-major, as the (rows, 2^n) array it returns.
+    ``scratch``, a flat complex128 area of at least rows * 2^n amplitudes
+    that the run owns, holds the temporaries of H and RX.  A block of at
+    least ``_WIDE`` rows is stored rows innermost, as a (2^n, rows)
+    array, so that every pass of a gate walks the joined rows of each
+    amplitude as one contiguous run; once the last gate has run it is
+    transposed back to contiguous rows in ``scratch``, and the array
+    returned is that view of ``scratch``.  A narrower block is stored
+    row-major, as the (rows, 2^n) array it returns.
 
     Each gate acts once on the rows that have joined, the first
     ``active``; an insertion then acts on its own row, so every row sees
@@ -375,15 +470,19 @@ def _run_block(circuit: Circuit, block: list[_Insertions]) -> np.ndarray:
             after.setdefault(index, []).append((r, paulis))
     view = head(active)
     for g, gate in enumerate(circuit.gates):
-        _apply_inplace(view, gate, n)
+        _apply_inplace(view, gate, n, scratch)
         if g in joined:
             grid[active:joined[g]] = grid[0]
             active = joined[g]
             view = head(active)
         for r, paulis in after.get(g, ()):
             for pauli in paulis:
-                _apply_inplace(grid[r][None, :, None], pauli, n)
-    return np.ascontiguousarray(grid)
+                _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
+    if not wide:
+        return states
+    out = scratch[:states.size].reshape(grid.shape)
+    np.copyto(out, grid)
+    return out
 
 
 def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
@@ -394,9 +493,9 @@ def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
     The first block, yielded even when no trajectory drew anything,
     begins with the ideal row; a later block does when it holds more
     than two rows, since below that the ideal row costs more gate-rows
-    than the late joins save."""
-    rates = np.array([rate for _, rate, _ in sites], dtype=np.float64)
-    rng = np.random.Generator(np.random.Philox(seed))  # re-keyed per trajectory
+    than the late joins save.  The draws come from ``_draws``, with one
+    generator for the whole run."""
+    rng = np.random.Generator(np.random.Philox(seed))
     head: list[_Insertions] = [{}]
     noisy: list[tuple[int, _Insertions]] = []
 
@@ -404,12 +503,7 @@ def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
         noisy.sort(key=lambda entry: min(entry[1]))
         return [i for i, _ in noisy], head + [insertions for _, insertions in noisy]
 
-    for i in range(n_traj):
-        _rekey(rng, seed + i)
-        insertions = _draw(rng, sites, rates)
-        if not insertions:
-            clean[i] = True
-            continue
+    for i, insertions in _draws(rng, sites, seed, n_traj, clean):
         if len(head) + len(noisy) == rows:
             yield block()
             head, noisy = [{}] if rows > 2 else [], []
@@ -423,12 +517,14 @@ def mean_over_trajectories(
     """Mean and standard error of ``observe(ideal, state)`` over n_traj
     trajectories' final states; trajectory i uses seed+i.  The ideal run
     and the trajectories that drew an insertion run as the rows of blocks
-    of at most ``_BATCH_BYTES``; see the module docstring."""
+    of at most ``_BATCH_BYTES``; see the module docstring.  One scratch
+    area, the size of the largest block, serves every block in turn (see
+    ``_run_block``)."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     sites = noise_sites(circuit, noise)
     if not sites:
-        ideal = _run_block(circuit, [{}])[0]
+        ideal = _run_block(circuit, [{}], np.empty(1 << circuit.n_qubits, np.complex128))[0]
         return Estimate(observe(ideal, ideal), 0.0)
     n = circuit.n_qubits
     # On one qubit, T and RZ multiply a single amplitude per row, and numpy
@@ -437,9 +533,12 @@ def mean_over_trajectories(
     rows = 1 if n == 1 else max(1, _BATCH_BYTES // (16 << n))
     values = np.empty(n_traj, dtype=np.float64)
     clean = np.zeros(n_traj, dtype=bool)
+    scratch = np.empty(0, dtype=np.complex128)
     ideal = None
     for owners, block in _blocks(sites, n_traj, seed, rows, clean):
-        states = _run_block(circuit, block)
+        if scratch.size < len(block) << n:
+            scratch = np.empty(len(block) << n, dtype=np.complex128)
+        states = _run_block(circuit, block, scratch)
         if ideal is None:
             ideal = states[0].copy()
         for r, i in enumerate(owners, start=len(block) - len(owners)):

@@ -1,4 +1,4 @@
-"""Rows that join a block late, and the generator re-keyed per trajectory.
+"""Rows that join a block late, and the generator keyed per trajectory.
 
 ``_run_block`` lets a noisy row join just after its first insertion's
 gate as a copy of the ideal row 0; a block without an ideal row runs
@@ -6,8 +6,10 @@ every row from |0...0>.  Each row must still match the serial oracle
 ``run_with_insertions`` bit for bit, in both block layouts: below
 ``_WIDE`` rows a block is row-major, from ``_WIDE`` rows on it stores
 the rows innermost.  ``_blocks`` draws every
-trajectory with one Philox generator re-keyed by ``_rekey``, which must
-give the stream of a fresh ``Generator(Philox(seed))``.
+trajectory with ``_draws``, from one Philox generator that each
+trajectory's key is set into; it must give the stream of a fresh
+``Generator(Philox(seed))``.  ``_philox_keys`` derives those keys for
+many seeds at once and must agree with numpy's ``SeedSequence``.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qfeas import ErrorBudget
 from qfeas.sim import engine
@@ -24,8 +27,8 @@ from qfeas.sim.engine import (
     _WIDE,
     NoiseModel,
     _blocks,
-    _draw,
-    _rekey,
+    _draws,
+    _philox_keys,
     _run_block,
     mean_over_trajectories,
     noise_sites,
@@ -69,8 +72,14 @@ LAST = len(CIRCUIT.gates) - 1
 WIDTHS = (7, _WIDE)
 
 
+def _run(circuit, block):
+    """``_run_block`` with a scratch area of its own."""
+    scratch = np.empty(len(block) << circuit.n_qubits, dtype=np.complex128)
+    return _run_block(circuit, block, scratch)
+
+
 def _assert_rows_match_oracle(circuit, block):
-    states = _run_block(circuit, block)
+    states = _run(circuit, block)
     assert states.shape == (len(block), 1 << circuit.n_qubits)
     for row, insertions in zip(states, block):
         assert row.tobytes() == run_with_insertions(circuit, insertions).tobytes()
@@ -97,7 +106,7 @@ def test_rows_join_after_gate_zero_the_last_gate_and_together():
         block = [{}] + sorted(noisy + _filler(width - 1 - len(noisy), 1), key=min)
         assert len(block) == width
         _assert_rows_match_oracle(CIRCUIT, block)
-        assert _run_block(CIRCUIT, block)[0].tobytes() == run_ideal(CIRCUIT).tobytes()
+        assert _run(CIRCUIT, block)[0].tobytes() == run_ideal(CIRCUIT).tobytes()
 
 
 def test_block_without_ideal_row_runs_every_row_from_the_start():
@@ -171,12 +180,18 @@ def _same_state(a, b):
 
 
 def test_rekeyed_generator_gives_a_fresh_generators_stream():
+    # both sites fire, so a draw ends with integers(0, 15), integers(0, 3)
+    sites = [(0, 1.0, (0, 1)), (1, 1.0, (2,))]
     rng = np.random.Generator(np.random.Philox(12345))
     for s in SEEDS:
         rng.random(3)
         rng.integers(0, 15)  # leaves half of a uint64 in the uint32 buffer
-        _rekey(rng, s)
+        clean = np.zeros(1, dtype=bool)
+        assert list(_draws(rng, sites, s, 1, clean)) == [(0, sample_insertions(sites, s))]
         fresh = np.random.Generator(np.random.Philox(s))
+        fresh.random(2)
+        fresh.integers(0, 15)
+        fresh.integers(0, 3)
         _same_state(rng, fresh)
         assert rng.random(5).tolist() == fresh.random(5).tolist()
         assert [int(rng.integers(0, 15)) for _ in range(4)] == \
@@ -191,9 +206,41 @@ def test_rekeyed_draws_match_sample_insertions(base):
     """Every trajectory here follows one whose draw called integers."""
     circuit = random_circuit(4, 6, 2)
     sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps0=0.1, eps1=0.2, eps2=0.3)))
-    rates = np.array([rate for _, rate, _ in sites])
     rng = np.random.Generator(np.random.Philox(base))
-    for i in range(8):
-        _rekey(rng, base + i)
-        drawn = _draw(rng, sites, rates)
-        assert drawn and drawn == sample_insertions(sites, base + i)
+    clean = np.zeros(8, dtype=bool)
+    drawn = list(_draws(rng, sites, base, 8, clean))
+    assert not clean.any()
+    assert drawn == [(i, sample_insertions(sites, base + i)) for i in range(8)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), count=st.integers(1, 3))
+@example(seed=0, count=1)
+@example(seed=2 ** 32 - 1, count=2)
+@example(seed=2 ** 32, count=1)
+@example(seed=2 ** 64 - 1, count=2)
+@example(seed=2 ** 64, count=1)
+@example(seed=2 ** 96, count=1)
+@example(seed=2 ** 128 - 1, count=3)  # the last array seed, then two fallbacks
+@example(seed=2 ** 128, count=1)
+@example(seed=2 ** 200 + 5, count=2)
+def test_philox_keys_match_seed_sequence(seed, count):
+    want = [np.random.SeedSequence(seed + i).generate_state(2, np.uint64).tolist()
+            for i in range(count)]
+    keys = _philox_keys(seed, count)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == want
+
+
+@pytest.mark.parametrize("base", [2 ** 64 - 20, 2 ** 128 - 20])
+def test_blocks_draw_sample_insertions_across_seed_boundaries(base):
+    """Trajectory seeds that cross 2^64 (a carry into the high words) and
+    2^128 (the ``SeedSequence`` fallback)."""
+    sites = noise_sites(random_circuit(4, 6, 2), NoiseModel(ErrorBudget(eps1=0.03, eps2=0.06)))
+    want = [sample_insertions(sites, base + i) for i in range(40)]
+    clean = np.zeros(40, dtype=bool)
+    drawn = {i: insertions for owners, block in _blocks(sites, 40, base, 8, clean)
+             for i, insertions in zip(owners, block[len(block) - len(owners):])}
+    assert clean.tolist() == [not insertions for insertions in want]
+    assert 0 < clean.sum() < 40
+    assert drawn == {i: insertions for i, insertions in enumerate(want) if insertions}
