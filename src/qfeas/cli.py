@@ -250,17 +250,11 @@ def _simulate_table(doc: dict) -> str:
             lines.append(
                 f"{row['depth']:<6} {c['n0']:<3} {c['n1']:<5} {c['n2']:<5} "
                 f"{row['mean_fidelity']:<14.6g} {row['std_error']:.3g}")
-        fit = sim["fit"]
-        if fit is None:
+        if sim["fit"] is None:
             lines.append("fit              skipped (fewer than 2 usable points "
                          "or no channel selected)")
         else:
-            for channel in fit["channels"]:
-                lo, hi = fit["ci95"][channel]
-                lines.append(
-                    f"fitted {channel:<10} {_fmt(fit['rates'][channel])} "
-                    f"(95% CI [{_fmt(lo)}, {_fmt(hi)}], "
-                    f"injected {_fmt(fit['injected'][channel])})")
+            lines.append(_fit_table(sim))
     else:
         lines.append(
             f"search           n={sim['qubits']} marked={sim['marked']} "
@@ -281,12 +275,15 @@ def _presets_table(doc: dict) -> str:
 
 
 def _fit_table(doc: dict) -> str:
+    """One line per channel of ``doc["fit"]``: its rate and 95% CI, then
+    the injected rate where the fit has one (a simulated fit does)."""
     fit = doc["fit"]
     lines = []
     for channel in fit["channels"]:
         lo, hi = fit["ci95"][channel]
+        injected = f", injected {_fmt(fit['injected'][channel])}" if "injected" in fit else ""
         lines.append(f"fitted {channel:<10} {_fmt(fit['rates'][channel])} "
-                     f"(95% CI [{_fmt(lo)}, {_fmt(hi)}])")
+                     f"(95% CI [{_fmt(lo)}, {_fmt(hi)}]{injected})")
     return "\n".join(lines)
 
 

@@ -214,26 +214,22 @@ def _stationary_size(eps2: float, code: QecCode, slope: float) -> int:
 def _convex_minimum(eps2: float, code: QecCode, slope: float) -> CodeOptimum:
     """First minimum of eps_L when its floor term is positive."""
     start = _stationary_size(eps2, code, slope)
-    values = {start: logical_error_rate(eps2, code, start)}
-    best = values[start]
+    best = CodeOptimum(start, logical_error_rate(eps2, code, start))
     margin = _rounding_margin(eps2, code)
 
-    def widen(n_c: int, step: int) -> int:
-        nonlocal best
+    for step in (-1, 1):  # widen the window leftward, then rightward
+        n_c = start
         while 1 <= n_c + step <= code.nc_max:
-            if step > 0 and slope * (n_c + step) >= best:
-                break  # the floor term alone is no better from here on
-            value = logical_error_rate(eps2, code, n_c + step)
-            if value > best + margin(best):
-                break
             n_c += step
-            values[n_c] = value
-            best = min(best, value)
-        return n_c
-
-    lo, hi = widen(start, -1), widen(start, 1)
-    n_c = min(range(lo, hi + 1), key=values.__getitem__)
-    return CodeOptimum(n_c, values[n_c])
+            if step > 0 and slope * n_c >= best.eps_l:
+                break  # the floor term alone is no better from here on
+            value = logical_error_rate(eps2, code, n_c)
+            if value > best.eps_l + margin(best.eps_l):
+                break
+            # a tie goes to the smaller size, which only the leftward walk meets
+            if value < best.eps_l or (step < 0 and value == best.eps_l):
+                best = CodeOptimum(n_c, value)
+    return best
 
 
 def optimal_code_size(eps2: float, code: QecCode) -> CodeOptimum:

@@ -51,6 +51,13 @@ def _check_int(name: str, value: object, low: int, high: int | None = None) -> N
         raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
 
 
+#: The fields that only one kind of simulation reads; the other kind
+#: leaves them None.
+_KIND_FIELDS = {"random": ("depths", "pairs_per_layer", "fit_channels"),
+                "grover": ("iterations", "marked")}
+_OTHER_KIND = {"random": "grover", "grover": "random"}
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
     """The optional ``simulation`` block, fully resolved.
@@ -60,7 +67,8 @@ class SimulationSettings:
     ``marked`` default to the optimal count and the all-ones string).
     ``noise`` defaults to the scenario hardware's error budget.
     ``fit_channels`` limits the rate fit; None means fit the channels
-    whose injected rate is nonzero.
+    whose injected rate is nonzero.  A field of the other kind must be
+    None.
     """
 
     kind: str
@@ -75,9 +83,13 @@ class SimulationSettings:
     fit_channels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("random", "grover"):
+        if self.kind not in _OTHER_KIND:
             raise ValueError(
                 f"kind must be 'random' or 'grover', got {self.kind!r}")
+        other = _OTHER_KIND[self.kind]
+        for name in _KIND_FIELDS[other]:
+            if getattr(self, name) is not None:
+                raise ValueError(f"{name} belongs to kind {other!r}, not {self.kind!r}")
         qubits = self.qubits
         _check_int("qubits", qubits, 2 if self.kind == "random" else 1, MAX_QUBITS)
         _check_int("trajectories", self.trajectories, 1)
@@ -151,9 +163,9 @@ _HARDWARE_REQUIRED = tuple(k for k in _section_keys(HardwareProfile)
 _HARDWARE_KEYS = ("preset", "name") + _NOISE_KEYS + _HARDWARE_REQUIRED
 _SIM_KEYS = _section_keys(SimulationSettings)
 _SIM_KEYS_BY_KIND = {
-    "random": tuple(k for k in _SIM_KEYS if k not in ("iterations", "marked")),
-    "grover": tuple(k for k in _SIM_KEYS
-                    if k not in ("depths", "pairs_per_layer", "fit")),
+    kind: tuple(key for name, key in _field_keys(SimulationSettings)
+                if name not in _KIND_FIELDS[other])
+    for kind, other in _OTHER_KIND.items()
 }
 
 

@@ -74,9 +74,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from ..model import ErrorBudget
-from . import MAX_QUBITS
 from .circuit import Circuit
-from .gates import _SQ2, _T_PHASE, CHANNEL_OF_KIND, BadTargetError, Gate
+from .gates import _SQ2, _T_PHASE, CHANNEL_OF_KIND, Gate
 
 #: A register state: 2^n complex128 amplitudes, qubit 0 = high bit.
 QuantumState = np.ndarray
@@ -109,33 +108,6 @@ class Estimate(NamedTuple):
 
     mean: float
     std_error: float
-
-
-def zero_state(n_qubits: int) -> QuantumState:
-    """|00...0> on n qubits."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
-    state = np.zeros(1 << n_qubits, dtype=np.complex128)
-    state[0] = 1.0
-    return state
-
-
-def _register_width(state: np.ndarray) -> int:
-    if state.ndim != 1:
-        raise ValueError("state must be a 1-D array of amplitudes")
-    size = state.shape[0]
-    n = size.bit_length() - 1
-    if size < 2 or (1 << n) != size:
-        raise ValueError(f"state length must be 2^n with n >= 1, got {size}")
-    return n
-
-
-def _check_targets(gate: Gate, n_qubits: int) -> None:
-    for q in gate.targets:
-        if q >= n_qubits:
-            raise BadTargetError(
-                f"{gate.kind} targets {gate.targets} outside a "
-                f"{n_qubits}-qubit register")
 
 
 #: A one-qubit gate on qubit n-2 of a row-major view runs as two strided
@@ -232,15 +204,6 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -
             sub[:, 1] = tmp
     else:
         raise AssertionError(f"unhandled kind {kind!r}")
-
-
-def apply_gate(state: QuantumState, gate: Gate) -> QuantumState:
-    """The gate's unitary applied to a copy of the state."""
-    out = np.array(state, dtype=np.complex128)
-    n = _register_width(out)
-    _check_targets(gate, n)
-    _apply_inplace(out[None, :, None], gate, n, np.empty_like(out))
-    return out
 
 
 #: One potential insertion point: (gate index, firing rate, gate targets).
@@ -382,8 +345,9 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
 def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
     """Run the circuit from |0...0>, applying each insertion right after
     its gate."""
-    state = zero_state(circuit.n_qubits)
     n = circuit.n_qubits
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
     view = state[None, :, None]
     scratch = np.empty_like(state)
     for i, gate in enumerate(circuit.gates):
@@ -398,12 +362,6 @@ def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumSta
 def run_ideal(circuit: Circuit) -> QuantumState:
     """Left-to-right noiseless application of the whole circuit to |0...0>."""
     return run_with_insertions(circuit, {})
-
-
-def run_trajectory(circuit: Circuit, noise: NoiseModel, seed: int) -> QuantumState:
-    """One stochastic realization; identical seed gives identical bits."""
-    insertions = sample_insertions(noise_sites(circuit, noise), seed)
-    return run_with_insertions(circuit, insertions)
 
 
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:

@@ -2,7 +2,10 @@
 
 The dense-operator oracle below rebuilds each gate's action from its 2x2 or
 4x4 matrix with explicit bit arithmetic, independent of the engine's sliced
-in-place updates, so the two implementations check each other.
+in-place updates, so the two implementations check each other.  A gate's
+input state is prepared by a circuit, and the gate reaches the kernel the
+way every other run does: appended to that circuit and run by
+``run_ideal``.
 """
 
 import math
@@ -19,20 +22,17 @@ from qfeas.sim.engine import (
     NoiseModel,
     _blocks,
     _run_block,
-    apply_gate,
     estimate_fidelity,
     noise_sites,
     run_ideal,
-    run_trajectory,
     run_with_insertions,
+    sample_insertions,
     state_fidelity,
-    zero_state,
 )
 from qfeas.sim.gates import (
     ONE_QUBIT_KINDS,
     PARAMETRIC_KINDS,
     TWO_QUBIT_KINDS,
-    BadTargetError,
     Gate,
     cnot,
     cz,
@@ -52,9 +52,10 @@ from gate_oracle import gate_matrix
 SQ2 = 1 / math.sqrt(2)
 
 
-def dense_apply(state, gate, n):
+def dense_apply(state, gate):
     """Reference: scatter the gate matrix over the full 2^n basis."""
     m = gate_matrix(gate)
+    n = len(state).bit_length() - 1
     out = np.zeros_like(state)
     ts = gate.targets
     shifts = [n - 1 - q for q in ts]  # qubit 0 is the most significant bit
@@ -74,6 +75,27 @@ def dense_apply(state, gate, n):
     return out
 
 
+def prepared(n, seed):
+    """Gates that take |0...0> to a generic state: two layers of RX and RZ
+    at random angles on every qubit, each followed by a CNOT chain, so
+    every amplitude is nonzero with its own magnitude and phase."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(2):
+        for q in range(n):
+            gates += [rx(q, float(rng.uniform(-3, 3))), rz(q, float(rng.uniform(-3, 3)))]
+        gates += [cnot(q, q + 1) for q in range(n - 1)]
+    return tuple(gates)
+
+
+def assert_matches_dense(n, prep, gate):
+    """The gate run after ``prep`` against the dense oracle applied to
+    ``prep``'s state."""
+    got = run_ideal(Circuit(n, prep + (gate,)))
+    want = dense_apply(run_ideal(Circuit(n, prep)), gate)
+    np.testing.assert_allclose(got, want, atol=1e-14)
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
@@ -82,28 +104,22 @@ def random_state(n, seed):
 
 class TestApplyGate:
     def test_hadamard_on_zero(self):
-        out = apply_gate(zero_state(1), h(0))
+        out = run_ideal(Circuit(1, (h(0),)))
         np.testing.assert_allclose(out, [SQ2, SQ2])
 
     def test_t_adds_phase_to_one_component(self):
-        plus = apply_gate(zero_state(1), h(0))
-        out = apply_gate(plus, t(0))
+        out = run_ideal(Circuit(1, (h(0), t(0))))
         np.testing.assert_allclose(out, [SQ2, SQ2 * np.exp(0.25j * np.pi)])
 
     def test_cnot_entangles(self):
-        state = np.array([SQ2, 0, SQ2, 0], dtype=complex)  # (|00> + |10>)/sqrt2
-        out = apply_gate(state, cnot(0, 1))
-        np.testing.assert_allclose(out, [SQ2, 0, 0, SQ2])
+        # (|01> + |11>)/sqrt2 -> (|01> + |10>)/sqrt2
+        out = run_ideal(Circuit(2, (h(0), x(1), cnot(0, 1))))
+        np.testing.assert_allclose(out, [0, SQ2, SQ2, 0])
 
     def test_idle_is_identity(self):
-        st = random_state(3, 5)
-        np.testing.assert_array_equal(apply_gate(st, idle(1)), st)
-
-    def test_input_state_is_not_mutated(self):
-        st = random_state(2, 1)
-        before = st.copy()
-        apply_gate(st, h(0))
-        np.testing.assert_array_equal(st, before)
+        prep = prepared(3, 5)
+        np.testing.assert_array_equal(run_ideal(Circuit(3, prep + (idle(1),))),
+                                      run_ideal(Circuit(3, prep)))
 
     @pytest.mark.parametrize("gate", [
         h(0), h(2), x(1), y(2), z(0), s(1), t(2),
@@ -111,26 +127,20 @@ class TestApplyGate:
         cz(0, 1), cz(2, 0), cnot(0, 1), cnot(1, 0), cnot(2, 0), cnot(0, 2),
     ])
     def test_matches_dense_oracle(self, gate):
-        n = 3
-        st = random_state(n, hash(gate.kind) % 1000 + sum(gate.targets))
-        got = apply_gate(st, gate)
-        want = dense_apply(st, gate, n)
-        np.testing.assert_allclose(got, want, atol=1e-14)
+        assert_matches_dense(3, prepared(3, len(gate.kind) + sum(gate.targets)), gate)
 
     def test_matches_dense_oracle_wide_register(self):
-        st = random_state(5, 33)
+        prep = prepared(5, 33)
         for gate in (cnot(4, 1), cz(3, 0), rx(2, 2.2), y(4)):
-            np.testing.assert_allclose(
-                apply_gate(st, gate), dense_apply(st, gate, 5), atol=1e-14)
-            st = apply_gate(st, gate)
+            assert_matches_dense(5, prep, gate)
+            prep += (gate,)
 
     @pytest.mark.parametrize("n", [8, 11])
     def test_matches_dense_oracle_on_split_passes(self, n):
         # qubit n-2 of a register this wide runs as two strided passes
-        st = random_state(n, n)
+        prep = prepared(n, n)
         for gate in (h(n - 2), rx(n - 2, 0.8), y(n - 2), x(n - 2), rx(n - 2, -1.2)):
-            np.testing.assert_allclose(
-                apply_gate(st, gate), dense_apply(st, gate, n), atol=1e-14)
+            assert_matches_dense(n, prep, gate)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 11])
     def test_phase_gates_round_as_one_pass_over_the_register(self, n):
@@ -139,29 +149,24 @@ class TestApplyGate:
         splits its passes, T and RZ must give the bits of one numpy pass
         over all the amplitudes they scale."""
         for q in range(n):
+            prep = prepared(n, 7 * n + q)
             for gate in (t(q), rz(q, 0.37)):
-                st = random_state(n, 7 * n + q)
-                want = st.copy()
+                want = run_ideal(Circuit(n, prep))
                 pairs = want.reshape(-1, 2, 1 << (n - q - 1))
                 phases = np.diag(gate_matrix(gate))
                 if gate.kind == "RZ":
                     pairs[:, 0] *= phases[0]
                 pairs[:, 1] *= phases[1]
-                assert apply_gate(st, gate).tobytes() == want.tobytes(), (n, gate)
-
-    def test_out_of_range_target(self):
-        # a bare Gate carries no register width, so apply_gate's own
-        # target check is the only one between it and a numpy error
-        with pytest.raises(BadTargetError):
-            apply_gate(zero_state(2), x(2))
+                got = run_ideal(Circuit(n, prep + (gate,)))
+                assert got.tobytes() == want.tobytes(), (n, gate)
 
     def test_norm_preserved_through_long_sequence(self):
-        st = zero_state(4)
         rng = np.random.default_rng(0)
+        gates = []
         for _ in range(300):
             q = int(rng.integers(0, 4))
-            st = apply_gate(st, rx(q, float(rng.uniform(-3, 3))))
-            st = apply_gate(st, cz(q, (q + 1) % 4))
+            gates += [rx(q, float(rng.uniform(-3, 3))), cz(q, (q + 1) % 4)]
+        st = run_ideal(Circuit(4, tuple(gates)))
         assert abs(np.vdot(st, st).real - 1.0) < 1e-10
 
 
@@ -207,7 +212,7 @@ class TestRunBlock:
 
 class TestRunIdeal:
     def test_empty_circuit(self):
-        np.testing.assert_array_equal(run_ideal(Circuit(2, ())), zero_state(2))
+        np.testing.assert_array_equal(run_ideal(Circuit(2, ())), [1, 0, 0, 0])
 
     def test_hadamard_is_self_inverse(self):
         out = run_ideal(Circuit(1, (h(0), h(0))))
@@ -222,29 +227,31 @@ class TestTrajectories:
     def test_noiseless_trajectory_is_bit_identical_to_ideal(self):
         c = random_circuit(5, 30, 3)
         ideal = run_ideal(c)
+        sites = noise_sites(c, NoiseModel(ErrorBudget()))
         for seed in (0, 1, 999):
-            traj = run_trajectory(c, NoiseModel(ErrorBudget()), seed)
+            traj = run_with_insertions(c, sample_insertions(sites, seed))
             np.testing.assert_array_equal(traj, ideal)
 
     def test_certain_insertion_always_changes_the_state(self):
         c = Circuit(1, (x(0),))
-        noise = NoiseModel(ErrorBudget(eps1=1.0))
+        sites = noise_sites(c, NoiseModel(ErrorBudget(eps1=1.0)))
         ideal = run_ideal(c)
         for seed in range(30):
-            traj = run_trajectory(c, noise, seed)
+            traj = run_with_insertions(c, sample_insertions(sites, seed))
             assert not np.array_equal(traj, ideal)
 
     def test_same_seed_same_bits(self):
         c = random_circuit(4, 25, 8)
-        noise = NoiseModel(ErrorBudget(eps1=0.05, eps2=0.1))
-        a = run_trajectory(c, noise, 42)
-        b = run_trajectory(c, noise, 42)
+        sites = noise_sites(c, NoiseModel(ErrorBudget(eps1=0.05, eps2=0.1)))
+        a = run_with_insertions(c, sample_insertions(sites, 42))
+        b = run_with_insertions(c, sample_insertions(sites, 42))
         np.testing.assert_array_equal(a, b)
 
     def test_seeds_explore_different_insertions(self):
         c = random_circuit(4, 25, 8)
-        noise = NoiseModel(ErrorBudget(eps2=0.5))
-        outputs = {run_trajectory(c, noise, seed).tobytes() for seed in range(8)}
+        sites = noise_sites(c, NoiseModel(ErrorBudget(eps2=0.5)))
+        outputs = {run_with_insertions(c, sample_insertions(sites, seed)).tobytes()
+                   for seed in range(8)}
         assert len(outputs) > 1
 
     def test_sites_follow_the_budget_channels(self):
@@ -279,7 +286,8 @@ class TestStateFidelity:
         assert state_fidelity(st, st) == 1.0
 
     def test_orthogonal_states(self):
-        a = zero_state(2)
+        a = np.zeros(4, dtype=complex)
+        a[0] = 1.0
         b = np.zeros(4, dtype=complex)
         b[3] = 1.0
         assert state_fidelity(a, b) == 0.0
@@ -310,7 +318,9 @@ class TestEstimateFidelity:
         noise = NoiseModel(ErrorBudget(eps2=0.05))
         est = estimate_fidelity(c, noise, 12, seed=100)
         ideal = run_ideal(c)
-        manual = [state_fidelity(ideal, run_trajectory(c, noise, 100 + i)) for i in range(12)]
+        sites = noise_sites(c, noise)
+        manual = [state_fidelity(ideal, run_with_insertions(c, sample_insertions(sites, 100 + i)))
+                  for i in range(12)]
         assert est.mean == pytest.approx(float(np.mean(manual)), rel=1e-14)
 
     def test_mean_in_unit_interval_and_error_bounded(self):

@@ -2,14 +2,15 @@
 probabilities against the sin^2((2k+1) arcsin(2^(-n/2))) closed form."""
 
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
 
 from qfeas import ErrorBudget
 from qfeas.sim import optimal_iterations
-from qfeas.sim.engine import NoiseModel, apply_gate, run_ideal
+from qfeas.sim.circuit import Circuit
+from qfeas.sim.engine import NoiseModel, run_ideal
+from qfeas.sim.gates import x
 from qfeas.sim.grover import (
     build_grover_circuit,
     controlled_phase_gates,
@@ -18,9 +19,9 @@ from qfeas.sim.grover import (
 )
 
 
-def run_gates(gates, state):
-    """Apply `gates` in order to a given state."""
-    return reduce(apply_gate, gates, state)
+def run_on_basis(n, ones, gates):
+    """Run `gates` on the basis state whose qubits `ones` are 1."""
+    return run_ideal(Circuit(n, tuple(x(q) for q in ones) + tuple(gates)))
 
 
 def network_diagonal(m, theta):
@@ -28,9 +29,8 @@ def network_diagonal(m, theta):
     gates = tuple(controlled_phase_gates(list(range(m)), theta))
     diag = np.empty(2**m, dtype=complex)
     for i in range(2**m):
-        basis = np.zeros(2**m, dtype=complex)
-        basis[i] = 1.0
-        diag[i] = run_gates(gates, basis)[i]
+        ones = [q for q in range(m) if i >> (m - 1 - q) & 1]  # qubit 0 = high bit
+        diag[i] = run_on_basis(m, ones, gates)[i]
     return diag
 
 
@@ -54,12 +54,9 @@ class TestPhaseNetwork:
     def test_random_angles_and_scattered_wires(self):
         theta = -2.31
         gates = tuple(controlled_phase_gates([3, 0, 2], theta))
-        st = np.zeros(16, dtype=complex)
-        st[0b1011] = 1.0  # wires 3, 0, 2 (bits 0, 3, 1 from msb) all set
-        out = run_gates(gates, st)
-        ref = np.zeros(16, dtype=complex)
-        ref[0b0001] = 1.0  # only wire 3 set: no phase beyond the global one
-        base = run_gates(gates, ref)[0b0001]
+        out = run_on_basis(4, (0, 2, 3), gates)  # wires 3, 0, 2 all set: 0b1011
+        # only wire 3 set, 0b0001: no phase beyond the global one
+        base = run_on_basis(4, (3,), gates)[0b0001]
         assert out[0b1011] / base == pytest.approx(np.exp(1j * theta), rel=1e-12)
 
 

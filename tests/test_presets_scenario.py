@@ -236,6 +236,10 @@ class TestSimulationSettings:
         ({"pairs_per_layer": 3}, r"pairs_per_layer must be an integer in \[1, 2\]"),
         ({"fit_channels": ()}, "fit_channels must be a non-empty list"),
         ({"kind": "bogus"}, "kind must be 'random' or 'grover'"),
+        # a field of the other kind would be echoed, and the echo would not parse
+        ({"marked": "11"}, "marked belongs to kind 'grover', not 'random'"),
+        ({"iterations": 3}, "iterations belongs to kind 'grover', not 'random'"),
+        ({"kind": "grover"}, "depths belongs to kind 'random', not 'grover'"),
     ])
     def test_replace_checks_every_invariant(self, changes, message):
         sim = SimulationSettings(kind="random", qubits=4, noise=ErrorBudget(), depths=(5,))

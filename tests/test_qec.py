@@ -1,6 +1,7 @@
 """Logical-error law, code-size selection, and the non-correctable floor."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +237,23 @@ class TestSearchAgainstReferenceScans:
         for target in (floor, math.nextafter(floor, 0.0), 1.5 * floor,
                        floor + 5e-324, floor + 2e-323):
             check_required(eps2, code, target)
+
+    def test_flat_window_holds_only_its_best_size(self):
+        """Here eps_L is flat to within rounding over tens of thousands of
+        sizes, and the search evaluates 77,320 of them; the window walk
+        keeps only the best size so far, where a table of every size it
+        evaluates would peak at 6.8 MiB."""
+        eps2 = 7.2e-4
+        code = QecCode(eps_nc=4.3e-308, nc_max=157_176, correctable_prefactor=1e300)
+        tracemalloc.start()
+        try:
+            optimum = optimal_code_size(eps2, code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        expected = brute_force_optimum(eps2, code)
+        assert (optimum.n_c, optimum.eps_l.hex()) == (expected.n_c, expected.eps_l.hex())
 
     @pytest.mark.parametrize("eps_nc", [0.0, 1e-12])
     def test_evaluations_grow_with_log_nc_max(self, monkeypatch, eps_nc):
