@@ -16,6 +16,8 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -33,6 +35,8 @@ from .gates import (
     t,
 )
 
+_targets = attrgetter("targets")
+
 
 @dataclass(frozen=True)
 class Circuit:
@@ -47,15 +51,23 @@ class Circuit:
         if not 1 <= self.n_qubits <= MAX_QUBITS:
             raise ValueError(
                 f"n_qubits must lie in [1, {MAX_QUBITS}], got {self.n_qubits}")
-        object.__setattr__(self, "gates", tuple(self.gates))
-        for i, gate in enumerate(self.gates):
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        # A search circuit repeats its phase networks' Gate objects, so each
+        # distinct object is checked once (the tuple keeps every id alive);
+        # a failure is reported by the indexed scan, at its first index.
+        n = self.n_qubits
+        distinct = {id(gate): gate for gate in gates}.values()
+        if (all(map(isinstance, distinct, repeat(Gate)))
+                and max(chain.from_iterable(map(_targets, distinct)), default=0) < n):
+            return
+        for i, gate in enumerate(gates):
             if not isinstance(gate, Gate):
                 raise TypeError(f"gates[{i}] is not a Gate: {gate!r}")
-            bad = [q for q in gate.targets if q >= self.n_qubits]
-            if bad:
+            if max(gate.targets) >= n:
                 raise BadTargetError(
                     f"gates[{i}] ({gate.kind}) targets {gate.targets} outside "
-                    f"a {self.n_qubits}-qubit register")
+                    f"a {n}-qubit register")
 
     def __len__(self) -> int:
         return len(self.gates)

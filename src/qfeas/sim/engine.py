@@ -23,14 +23,30 @@ block's pass is never shorter than two amplitudes where the serial
 run's is longer.  On one qubit the serial run's passes hold a single
 amplitude, so 1-qubit trajectories run one row per block.
 
+A block on n >= 2 qubits runs each stretch of CNOT and RZ gates, such
+as a Grover phase network, in a relabelled frame.  One label array per
+qubit holds, at each physical position, that qubit's bit of the logical
+index of the amplitude stored there.  A CNOT then moves no amplitude: it
+XORs its control's labels into its target's.  An RZ gathers its two
+factors by its target's labels into one phase row of 2^n values and
+multiplies every joined row by it, once.  Before any other gate, before
+an insertion or a join, and after the last gate, one gather puts every
+amplitude back at its logical position.  The bits are those of the
+serial run, which applies the gates one by one: a CNOT is an exact move,
+each amplitude is multiplied by the same factor in the same order, and
+numpy's complex product by a value rounds alike whether the value is a
+scalar or an array element, in passes of two amplitudes or more.  The
+serial run (``run_with_insertions``) stays gate by gate; it is the
+oracle the blocks are tested against.
+
 Noisy trajectories run as the rows of such blocks, each block capped at
 ``_BATCH_BYTES``.  Every gate is applied once to the rows that have
 joined the block, and a Pauli insertion afterwards to its own row.  In a
 block led by the noiseless row, a row joins at its first insertion: just
 after that gate it starts as a copy of the noiseless row, whose every
 operation up to there it shares.  A noise site stores only its gate's
-index, rate and targets; the Pauli gates of an insertion are built only
-when the site fires.
+index, rate and targets; the Pauli gates of an insertion are built the
+first time, in a run, that a site with those targets draws that Pauli.
 
 An observable is ``observe(ideal, state)``, a float from the noiseless
 final state and one trajectory's; its mean and standard error over the
@@ -117,6 +133,12 @@ class Estimate(NamedTuple):
 _SPLIT = 64
 
 
+def _rz_phases(theta: float) -> tuple[complex, complex]:
+    """RZ(theta)'s factors on target bit 0 and target bit 1."""
+    half = theta / 2.0
+    return cmath.exp(-1j * half), cmath.exp(1j * half)
+
+
 def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> None:
     """A one-qubit gate on the amplitude pairs (a, b): target bit 0, 1.
 
@@ -146,9 +168,9 @@ def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) ->
         np.multiply(b, -1j, out=a)
         np.multiply(tmp, 1j, out=b)
     elif kind == "RZ":
-        half = gate.theta / 2.0
-        a *= cmath.exp(-1j * half)
-        b *= cmath.exp(1j * half)
+        phase_0, phase_1 = _rz_phases(gate.theta)
+        a *= phase_0
+        b *= phase_1
     elif kind == "RX":
         c = math.cos(gate.theta / 2.0)
         sv = -1j * math.sin(gate.theta / 2.0)
@@ -221,12 +243,25 @@ def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
             if (rate := rates[CHANNEL_OF_KIND[gate.kind]]) != 0.0]
 
 
-def _paulis(rng: np.random.Generator, targets: tuple[int, ...]) -> tuple[Gate, ...]:
-    """The Pauli gates a firing site inserts: one ``rng.integers`` draw."""
-    if len(targets) == 2:
-        paulis = zip(PAULI_PAIRS[int(rng.integers(0, 15))], targets)
-        return tuple(Gate(p, (q,)) for p, q in paulis if p != "I")
-    return (Gate(PAULI_1Q[int(rng.integers(0, 3))], targets),)
+#: Pauli gates already built in a run, by (targets, pick).
+_Built = dict[tuple[tuple[int, ...], int], tuple[Gate, ...]]
+
+
+def _paulis(rng: np.random.Generator, targets: tuple[int, ...],
+            built: _Built) -> tuple[Gate, ...]:
+    """The Pauli gates a firing site inserts: one ``rng.integers`` draw,
+    whose gates are built once and kept in ``built``."""
+    pair = len(targets) == 2
+    pick = int(rng.integers(0, 15 if pair else 3))
+    paulis = built.get((targets, pick))
+    if paulis is None:
+        if pair:
+            paulis = tuple(Gate(p, (q,)) for p, q in zip(PAULI_PAIRS[pick], targets)
+                           if p != "I")
+        else:
+            paulis = (Gate(PAULI_1Q[pick], targets),)
+        built[targets, pick] = paulis
+    return paulis
 
 
 def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
@@ -238,7 +273,8 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
     if not sites:
         return {}
     uniforms = rng.random(len(sites))
-    return {index: _paulis(rng, targets)
+    built: _Built = {}
+    return {index: _paulis(rng, targets, built)
             for u, (index, rate, targets) in zip(uniforms.tolist(), sites) if u < rate}
 
 
@@ -323,6 +359,7 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
     ``Generator(Philox(first + i))`` before trajectory i: that seed's key,
     counter 0 and an empty output buffer.  Keys are derived for as many
     trajectories at a time as keep them within about one block's bytes.
+    The Pauli gates of each (targets, pick) are built once per call.
     """
     rates = np.array([rate for _, rate, _ in sites], dtype=np.float64)
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -330,6 +367,7 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
     # a key held as a Python list takes about 170 bytes, so a chunk of
     # keys stays below one block's bytes
     chunk = max(1, _BATCH_BYTES >> 8)
+    built: _Built = {}
     for start in range(0, count, chunk):
         keys = _philox_keys(first + start, min(chunk, count - start)).tolist()
         for i, key in enumerate(keys, start):
@@ -337,7 +375,8 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
             rng.bit_generator.state = state
             fired = (rng.random(len(sites)) < rates).nonzero()[0]
             if fired.size:
-                yield i, {sites[s][0]: _paulis(rng, sites[s][2]) for s in fired.tolist()}
+                yield i, {sites[s][0]: _paulis(rng, sites[s][2], built)
+                          for s in fired.tolist()}
             else:
                 clean[i] = True
 
@@ -383,6 +422,59 @@ _BATCH_BYTES = 1 << 20
 _WIDE = 16
 
 
+class _Relabelling:
+    """The frame of a stretch of CNOT and RZ gates on n >= 2 qubits (see
+    the module docstring): ``labels[q][p]``, an intp, is qubit q's bit of
+    the logical index of the amplitude at physical position p.  A CNOT
+    moves no amplitude, an RZ multiplies the joined rows once by a phase
+    row gathered by its target's labels, and ``flush`` moves every
+    amplitude to its logical position."""
+
+    def __init__(self, n: int) -> None:
+        self.positions = np.arange(1 << n, dtype=np.intp)
+        self.shifts = np.arange(n - 1, -1, -1)[:, None]
+        self.table = np.empty((n, 1 << n), dtype=np.intp)
+        self.labels = list(self.table)  # one row view per qubit
+        self.weights = 1 << self.shifts[:, 0]
+        self.phase = np.empty((1 << n, 1), dtype=np.complex128)
+        self.factors: dict[tuple[float, float], np.ndarray] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Label every amplitude by its own position."""
+        np.right_shift(self.positions, self.shifts, out=self.table)
+        self.table &= 1
+        self.moved = False
+
+    def cnot(self, control: int, target: int) -> None:
+        self.labels[target] ^= self.labels[control]
+        self.moved = True
+
+    def rz(self, view: np.ndarray, q: int, theta: float) -> None:
+        """RZ(theta) on qubit q of ``view``, a (lead, 2^n, trail) view."""
+        # 0.0 and -0.0 are one dict key, but their factors' zero imaginary
+        # parts differ in sign, and so can the products
+        key = theta, math.copysign(1.0, theta)
+        factors = self.factors.get(key)
+        if factors is None:
+            factors = self.factors[key] = np.array(_rz_phases(theta))
+        factors.take(self.labels[q], out=self.phase[:, 0], mode="clip")
+        view *= self.phase
+
+    def flush(self, states: np.ndarray, axis: int, scratch: np.ndarray) -> None:
+        """Move the amplitudes of ``states`` along ``axis`` (its 2^n axis)
+        to their logical positions, by one gather into ``scratch`` and a
+        copy back, and reset the labels."""
+        if not self.moved:
+            return
+        source = np.empty_like(self.positions)
+        source[self.weights @ self.table] = self.positions
+        moved = scratch[:states.size].reshape(states.shape)
+        np.take(states, source, axis=axis, out=moved, mode="clip")
+        np.copyto(states, moved)
+        self.reset()
+
+
 def _run_block(circuit: Circuit, block: list[_Insertions],
                scratch: np.ndarray) -> np.ndarray:
     """Run each entry of ``block`` as one row of a block of registers and
@@ -404,12 +496,25 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     join as copies of row 0 just after that insertion's gate: up to there
     a row sees exactly the ideal run's operations.  Otherwise every row
     runs from |0...0>.
+
+    On n >= 2 qubits each stretch of CNOT and RZ gates runs relabelled
+    (``_Relabelling``): a CNOT only XORs label arrays, and an RZ
+    multiplies the joined rows by one phase row that holds, at each
+    position, the factor the serial run multiplies that amplitude by.
+    Before any other gate, before an insertion (a row joins only at a
+    gate it has an insertion after), and after the last gate, one gather
+    over the whole block, unjoined rows of zeros included, puts every
+    amplitude back in place.  The bits match because a CNOT is an exact
+    move and numpy rounds a product by a scalar and by an array element
+    of that value alike in passes of two amplitudes or more; a one-qubit
+    RZ pass holds one, so one-qubit blocks run gate by gate.
     """
     n = circuit.n_qubits
     wide = len(block) >= _WIDE
     states = np.zeros((1 << n, len(block)) if wide else (len(block), 1 << n),
                       dtype=np.complex128)
     grid = states.T if wide else states  # grid[r] is row r's amplitudes
+    axis = 0 if wide else 1  # the axis of states that holds the 2^n amplitudes
 
     def head(active: int) -> np.ndarray:
         """The joined rows as a (lead, 2^n, trail) view."""
@@ -426,16 +531,36 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     for r, insertions in enumerate(block):
         for index, paulis in insertions.items():
             after.setdefault(index, []).append((r, paulis))
+    relabelled = ("CNOT", "RZ") if n >= 2 else ()
+    frame = None
     view = head(active)
     for g, gate in enumerate(circuit.gates):
-        _apply_inplace(view, gate, n, scratch)
+        kind = gate.kind
+        if kind in relabelled:
+            if frame is None:
+                frame = _Relabelling(n)
+            if kind == "CNOT":
+                frame.cnot(*gate.targets)
+            else:
+                frame.rz(view, gate.targets[0], gate.theta)
+        else:
+            if frame is not None:
+                frame.flush(states, axis, scratch)
+            _apply_inplace(view, gate, n, scratch)
+        inserted = after.get(g)
+        if inserted is None:
+            continue
+        if frame is not None:
+            frame.flush(states, axis, scratch)
         if g in joined:
             grid[active:joined[g]] = grid[0]
             active = joined[g]
             view = head(active)
-        for r, paulis in after.get(g, ()):
+        for r, paulis in inserted:
             for pauli in paulis:
                 _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
+    if frame is not None:
+        frame.flush(states, axis, scratch)
     if not wide:
         return states
     out = scratch[:states.size].reshape(grid.shape)

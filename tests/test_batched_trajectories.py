@@ -28,6 +28,7 @@ from qfeas.sim.engine import (
     sample_insertions,
 )
 from qfeas.sim.gates import ONE_QUBIT_KINDS, Gate
+from qfeas.sim.grover import controlled_phase_gates
 
 
 def _state_hash(state):
@@ -65,6 +66,13 @@ PHASES_ON_QUBIT_0 = Circuit(2, (
     Gate("H", (0,)), Gate("H", (1,)), Gate("RX", (0,), 0.9), Gate("T", (0,)),
     Gate("CZ", (0, 1)), Gate("RZ", (0,), -0.6), Gate("T", (0,))))
 
+# A four-wire phase network (15 RZ and 14 CNOT), which a block runs in a
+# relabelled frame, between layers that leave every amplitude generic.
+PHASE_NETWORK = Circuit(4, (
+    *(Gate("RX", (q,), 0.3 + 0.4 * q) for q in range(4)),
+    *controlled_phase_gates(range(4), math.pi),
+    *(Gate("H", (q,)) for q in range(4))))
+
 
 # Shrinking these circuits takes minutes; a failure is reported unshrunk.
 @settings(max_examples=150, deadline=None,
@@ -82,6 +90,9 @@ PHASES_ON_QUBIT_0 = Circuit(2, (
 # per pass, the oracle's register would take passes of one amplitude,
 # which numpy rounds by another loop, and a two-row block passes of two.
 @example(circuit=PHASES_ON_QUBIT_0, eps=(0.2, 0.2, 0.2), n_traj=20, seed=3, rows=2, slack=0)
+@example(circuit=PHASE_NETWORK, eps=(0.05, 0.05, 0.05), n_traj=20, seed=5, rows=2, slack=0)
+@example(circuit=PHASE_NETWORK, eps=(0.05, 0.05, 0.05), n_traj=60, seed=5, rows=_WIDE,
+         slack=0)
 def test_batched_loop_matches_serial_oracle(circuit, eps, n_traj, seed, rows, slack):
     noise = NoiseModel(ErrorBudget(*eps))
     sites = noise_sites(circuit, noise)

@@ -104,6 +104,18 @@ class TestCircuit:
         with pytest.raises(BadTargetError):
             Circuit(2, (x(2),))
 
+    def test_bad_gate_after_repeated_objects_is_named_by_its_index(self):
+        """Each distinct Gate object is checked once, but a failure still
+        names the first bad index, not where the object first appeared."""
+        good, pair = h(0), cnot(0, 1)
+        with pytest.raises(BadTargetError, match=r"^gates\[5\] \(X\) targets \(2,\)"):
+            Circuit(2, (good, pair, good, pair, good, x(2), good, x(3)))
+        outside = cz(0, 2)
+        with pytest.raises(BadTargetError, match=r"^gates\[3\] \(CZ\)"):
+            Circuit(2, (good, good, pair, outside, good, outside))
+        with pytest.raises(TypeError, match=r"^gates\[4\] is not a Gate"):
+            Circuit(2, (good, pair, good, pair, "H 0", good))
+
     def test_size_limits(self):
         with pytest.raises(ValueError):
             Circuit(0, ())

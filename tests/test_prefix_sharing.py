@@ -10,6 +10,11 @@ trajectory with ``_draws``, from one Philox generator that each
 trajectory's key is set into; it must give the stream of a fresh
 ``Generator(Philox(seed))``.  ``_philox_keys`` derives those keys for
 many seeds at once and must agree with numpy's ``SeedSequence``.
+
+On two qubits or more a block runs each stretch of CNOT and RZ gates in
+a relabelled frame and puts the amplitudes back in place before a join,
+an insertion, another gate and the end; Grover's phase networks are such
+stretches, and the rows must still match the oracle there.
 """
 
 import hashlib
@@ -37,6 +42,7 @@ from qfeas.sim.engine import (
     sample_insertions,
 )
 from qfeas.sim.gates import Gate
+from qfeas.sim.grover import build_grover_circuit
 
 SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
 
@@ -169,6 +175,97 @@ def test_fifteen_qubits_at_two_rows_per_block_match_the_serial_oracle():
     mean, std_error = mean_over_trajectories(
         circuit, noise, 6, 21, lambda ideal, state: _state_hash(state))
     assert (mean.hex(), std_error.hex()) == _serial(circuit, noise, 6, 21)
+
+
+#: Row counts of the phase-network tests: row-major, then rows innermost.
+NETWORK_WIDTHS = (1, 2, 3, 4, _WIDE, _WIDE + 1)
+
+
+def _grover(n):
+    """Two search iterations, so each of the four phase networks (CNOT
+    and RZ stretches) repeats the Gate objects of the others."""
+    return build_grover_circuit(n, format(5 % (1 << n), f"0{n}b"), 2)
+
+
+def _network_rows(circuit, count):
+    """``count`` rows whose insertions follow CNOT and RZ gates inside the
+    phase networks, so they join, and are inserted, mid-stretch: a first
+    insertion on every target of its gate and, in some rows, a later one."""
+    network = [g for g, gate in enumerate(circuit.gates) if gate.kind in ("CNOT", "RZ")]
+    rows = []
+    for k in range(count):
+        first = network[(7 * k + 3) % len(network)]
+        insertions = {first: tuple(Gate("XYZ"[(k + j) % 3], (q,))
+                                   for j, q in enumerate(circuit.gates[first].targets))}
+        later = network[(11 * k + 5) % len(network)]
+        if later > first:
+            insertions[later] = (Gate("YZX"[k % 3], circuit.gates[later].targets[-1:]),)
+        rows.append(insertions)
+    return rows
+
+
+@pytest.mark.parametrize("width", NETWORK_WIDTHS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_phase_network_blocks_match_the_serial_oracle(n, width):
+    """Rows join and take insertions at CNOT and RZ gates of a relabelled
+    stretch, in blocks led by the ideal row and in blocks without it; the
+    second circuit ends inside its first phase network, just after the
+    RZ that follows its first CNOT."""
+    circuit = _grover(n)
+    first_cnot = [gate.kind for gate in circuit.gates].index("CNOT")
+    for circuit in (circuit, Circuit(n, circuit.gates[:first_cnot + 2])):
+        led = [{}] + sorted(_network_rows(circuit, width - 1), key=min)
+        _assert_rows_match_oracle(circuit, led)
+        _assert_rows_match_oracle(circuit, _network_rows(circuit, width))
+
+
+@pytest.mark.parametrize("rows", NETWORK_WIDTHS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_noisy_search_matches_the_serial_oracle(n, rows):
+    circuit = _grover(n)
+    rate = 3.0 / len(circuit.gates)  # about three insertions a trajectory
+    noise = NoiseModel(ErrorBudget(eps1=rate, eps2=rate))
+    n_traj = 2 * rows + 8
+    clean = np.zeros(n_traj, dtype=bool)
+    firsts = [circuit.gates[min(insertions)].kind
+              for _, block in _blocks(noise_sites(circuit, noise), n_traj, 31, rows, clean)
+              for insertions in block if insertions]
+    assert {"CNOT", "RZ"} <= set(firsts)
+    assert _batched(circuit, noise, n_traj, 31, rows) == _serial(circuit, noise, n_traj, 31)
+
+
+def test_rz_on_one_qubit_runs_gate_by_gate():
+    """On one qubit the serial run's RZ multiplies a single amplitude per
+    pass, which numpy rounds by another loop than a pass of two."""
+    circuit = Circuit(1, (Gate("H", (0,)), Gate("RX", (0,), 0.4), Gate("RZ", (0,), 0.3),
+                          Gate("RZ", (0,), -1.7), Gate("T", (0,)), Gate("RZ", (0,), 2.9)))
+    _assert_rows_match_oracle(circuit, [{}])
+    _assert_rows_match_oracle(circuit, [{2: (Gate("X", (0,)),)}])
+    noise = NoiseModel(ErrorBudget(eps1=0.2))
+    assert _batched(circuit, noise, 20, 6, 4) == _serial(circuit, noise, 20, 6)
+
+
+def test_rz_on_qubit_n_minus_2_of_two():
+    """RZ on qubit 0 of two, whose serial passes hold two amplitudes."""
+    circuit = Circuit(2, (
+        Gate("H", (0,)), Gate("RX", (1,), 0.8), Gate("RZ", (0,), 0.45), Gate("CNOT", (1, 0)),
+        Gate("RZ", (0,), -2.1), Gate("CNOT", (0, 1)), Gate("RZ", (1,), 1.3),
+        Gate("RZ", (0,), 0.7), Gate("T", (0,))))
+    for width in NETWORK_WIDTHS:
+        rows = [{k % 8 + 1: (Gate("XYZ"[k % 3], (k % 2,)),)} for k in range(width)]
+        _assert_rows_match_oracle(circuit, [{}] + sorted(rows[1:], key=min))
+        _assert_rows_match_oracle(circuit, rows)
+
+
+def test_rz_by_zero_and_minus_zero_keep_their_own_factors():
+    """RZ(0.0) and RZ(-0.0) multiply by 1 - 0j and 1 + 0j, whose products
+    can differ in the sign of a zero imaginary part."""
+    y0, y1 = Gate("Y", (0,)), Gate("Y", (1,))
+    for prefix, first, second in (((y0,), 0.0, -0.0), ((y0, y1), -0.0, 0.0)):
+        circuit = Circuit(2, (*prefix, Gate("RZ", (0,), first), Gate("RZ", (1,), second)))
+        for width in (1, _WIDE):
+            rows = sorted(_network_rows(circuit, width - 1), key=min)
+            _assert_rows_match_oracle(circuit, [{}] + rows)
 
 
 def _same_state(a, b):
