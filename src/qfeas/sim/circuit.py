@@ -16,8 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from operator import attrgetter
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +33,10 @@ from .gates import (
     t,
 )
 
-_targets = attrgetter("targets")
+
+def _first_use(gates: tuple[Gate, ...], gate: Gate) -> int:
+    """The index of the first occurrence of the object ``gate``."""
+    return next(i for i, used in enumerate(gates) if used is gate)
 
 
 @dataclass(frozen=True)
@@ -54,20 +55,16 @@ class Circuit:
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
         # A search circuit repeats its phase networks' Gate objects, so each
-        # distinct object is checked once (the tuple keeps every id alive);
-        # a failure is reported by the indexed scan, at its first index.
+        # distinct object is checked once, in order of first use (the tuple
+        # keeps every id alive); a failure names that first use's index.
         n = self.n_qubits
-        distinct = {id(gate): gate for gate in gates}.values()
-        if (all(map(isinstance, distinct, repeat(Gate)))
-                and max(chain.from_iterable(map(_targets, distinct)), default=0) < n):
-            return
-        for i, gate in enumerate(gates):
+        for gate in dict(zip(map(id, gates), gates)).values():
             if not isinstance(gate, Gate):
-                raise TypeError(f"gates[{i}] is not a Gate: {gate!r}")
+                raise TypeError(f"gates[{_first_use(gates, gate)}] is not a Gate: {gate!r}")
             if max(gate.targets) >= n:
                 raise BadTargetError(
-                    f"gates[{i}] ({gate.kind}) targets {gate.targets} outside "
-                    f"a {n}-qubit register")
+                    f"gates[{_first_use(gates, gate)}] ({gate.kind}) targets "
+                    f"{gate.targets} outside a {n}-qubit register")
 
     def __len__(self) -> int:
         return len(self.gates)

@@ -424,26 +424,25 @@ _WIDE = 16
 
 class _Relabelling:
     """The frame of a stretch of CNOT and RZ gates on n >= 2 qubits (see
-    the module docstring): ``labels[q][p]``, an intp, is qubit q's bit of
+    the module docstring): ``labels[q][p]``, a uint8, is qubit q's bit of
     the logical index of the amplitude at physical position p.  A CNOT
     moves no amplitude, an RZ multiplies the joined rows once by a phase
     row gathered by its target's labels, and ``flush`` moves every
-    amplitude to its logical position."""
+    amplitude to its logical position.  A label is one byte, so the
+    labels of a 16-qubit block take 1 MiB."""
 
     def __init__(self, n: int) -> None:
         self.positions = np.arange(1 << n, dtype=np.intp)
-        self.shifts = np.arange(n - 1, -1, -1)[:, None]
-        self.table = np.empty((n, 1 << n), dtype=np.intp)
-        self.labels = list(self.table)  # one row view per qubit
-        self.weights = 1 << self.shifts[:, 0]
+        self.labels = list(np.empty((n, 1 << n), dtype=np.uint8))  # a row per qubit
         self.phase = np.empty((1 << n, 1), dtype=np.complex128)
         self.factors: dict[tuple[float, float], np.ndarray] = {}
         self.reset()
 
     def reset(self) -> None:
         """Label every amplitude by its own position."""
-        np.right_shift(self.positions, self.shifts, out=self.table)
-        self.table &= 1
+        n = len(self.labels)
+        for q, label in enumerate(self.labels):
+            np.not_equal(self.positions & (1 << (n - 1 - q)), 0, out=label)
         self.moved = False
 
     def cnot(self, control: int, target: int) -> None:
@@ -467,8 +466,12 @@ class _Relabelling:
         copy back, and reset the labels."""
         if not self.moved:
             return
+        logical = np.zeros_like(self.positions)  # qubit 0 is the high bit
+        for label in self.labels:
+            logical <<= 1
+            logical |= label
         source = np.empty_like(self.positions)
-        source[self.weights @ self.table] = self.positions
+        source[logical] = self.positions
         moved = scratch[:states.size].reshape(states.shape)
         np.take(states, source, axis=axis, out=moved, mode="clip")
         np.copyto(states, moved)

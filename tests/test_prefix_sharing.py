@@ -158,11 +158,20 @@ def test_later_blocks_match_the_serial_oracle(rows):
 
 
 def test_one_qubit_circuit_matches_the_serial_oracle():
-    circuit = Circuit(1, (Gate("H", (0,)), Gate("T", (0,)), Gate("RZ", (0,), 0.3),
-                          Gate("RX", (0,), 1.1), Gate("S", (0,)), Gate("H", (0,))))
     noise = NoiseModel(ErrorBudget(eps1=0.2))
-    # eight rows would fit, but one-qubit rows still run one per block
-    assert _batched(circuit, noise, 25, 4, 8) == _serial(circuit, noise, 25, 4)
+    for gates in (
+        (Gate("H", (0,)), Gate("T", (0,)), Gate("RZ", (0,), 0.3),
+         Gate("RX", (0,), 1.1), Gate("S", (0,)), Gate("H", (0,))),
+        # a stretch of RZ: the serial run multiplies a single amplitude per
+        # pass, which numpy rounds by another loop than a pass of two
+        (Gate("H", (0,)), Gate("RX", (0,), 0.4), Gate("RZ", (0,), 0.3),
+         Gate("RZ", (0,), -1.7), Gate("T", (0,)), Gate("RZ", (0,), 2.9)),
+    ):
+        circuit = Circuit(1, gates)
+        _assert_rows_match_oracle(circuit, [{}])
+        _assert_rows_match_oracle(circuit, [{2: (Gate("X", (0,)),)}])
+        # eight rows would fit, but one-qubit rows still run one per block
+        assert _batched(circuit, noise, 25, 4, 8) == _serial(circuit, noise, 25, 4)
 
 
 def test_fifteen_qubits_at_two_rows_per_block_match_the_serial_oracle():
@@ -232,17 +241,6 @@ def test_noisy_search_matches_the_serial_oracle(n, rows):
               for insertions in block if insertions]
     assert {"CNOT", "RZ"} <= set(firsts)
     assert _batched(circuit, noise, n_traj, 31, rows) == _serial(circuit, noise, n_traj, 31)
-
-
-def test_rz_on_one_qubit_runs_gate_by_gate():
-    """On one qubit the serial run's RZ multiplies a single amplitude per
-    pass, which numpy rounds by another loop than a pass of two."""
-    circuit = Circuit(1, (Gate("H", (0,)), Gate("RX", (0,), 0.4), Gate("RZ", (0,), 0.3),
-                          Gate("RZ", (0,), -1.7), Gate("T", (0,)), Gate("RZ", (0,), 2.9)))
-    _assert_rows_match_oracle(circuit, [{}])
-    _assert_rows_match_oracle(circuit, [{2: (Gate("X", (0,)),)}])
-    noise = NoiseModel(ErrorBudget(eps1=0.2))
-    assert _batched(circuit, noise, 20, 6, 4) == _serial(circuit, noise, 20, 6)
 
 
 def test_rz_on_qubit_n_minus_2_of_two():
