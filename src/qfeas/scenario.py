@@ -192,9 +192,21 @@ def _typed(types: type | tuple[type, ...], what: str):
     return check
 
 
-_number = _typed((int, float), "a number")
+_real = _typed((int, float), "a number")
 _integer = _typed(int, "an integer")
 _string = _typed(str, "a string")
+
+
+def _number(node: object, path: str) -> int | float:
+    """A number; an int is kept as it is, but only where a float can hold it."""
+    value = _real(node, path)
+    if isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ScenarioValidationError(
+                f"{path} must be a number within the float range (about 1.8e308)") from None
+    return value
 
 
 def _items(node: object, path: str, check) -> tuple:

@@ -2,28 +2,21 @@
 
 Gates act through strided slice arithmetic on complex128 amplitudes (no
 matrix products), so a run is a fixed sequence of elementwise operations
-and a rerun reproduces its output bit for bit.  One kernel,
-``_apply_inplace``, takes every layout as a (lead, 2^n, trail) view:
+and a rerun reproduces its output bit for bit.  ``_run_block`` is the one
+circuit runner: it runs a block of rows, each one register of 2^n
+amplitudes, in one of two layouts:
 
-* a single register, 2^n amplitudes, is (1, 2^n, 1);
 * a block of fewer than ``_WIDE`` rows is stored row-major, a
-  (rows, 2^n) array whose rows ride in ``lead``;
+  (rows, 2^n) array;
 * a block of ``_WIDE`` rows or more is stored rows innermost, a
-  (2^n, rows) array whose rows ride in ``trail``, so each pass walks
-  contiguous runs of (low amplitudes x rows) instead of one short run
-  per row.
+  (2^n, rows) array, so each pass walks contiguous runs of (low
+  amplitudes x rows) instead of one short run per row.
 
-Every amplitude sees the same operations in every layout.  They also
-round alike as long as a pass holds at least two amplitudes wherever the
-serial run's pass does: numpy rounds a complex product on one amplitude
-by another loop than on several.  A gate is one pass over all the
-joined rows, except that a one-qubit gate on qubit n-2 of a row-major
-view splits into two passes once each holds ``_SPLIT`` amplitudes, so a
-block's pass is never shorter than two amplitudes where the serial
-run's is longer.  On one qubit the serial run's passes hold a single
-amplitude, so 1-qubit trajectories run one row per block.
+Its kernel, ``_apply_inplace``, applies a one-qubit gate or a CZ to
+either layout as a (lead, 2^n, trail) view, the rows riding in ``lead``
+or in ``trail``.
 
-A block on n >= 2 qubits runs each stretch of CNOT and RZ gates, such
+On n >= 2 qubits a block runs each stretch of CNOT and RZ gates, such
 as a Grover phase network, in a relabelled frame.  One label array per
 qubit holds, at each physical position, that qubit's bit of the logical
 index of the amplitude stored there.  A CNOT then moves no amplitude: it
@@ -31,13 +24,18 @@ XORs its control's labels into its target's.  An RZ gathers its two
 factors by its target's labels into one phase row of 2^n values and
 multiplies every joined row by it, once.  Before any other gate, before
 an insertion or a join, and after the last gate, one gather puts every
-amplitude back at its logical position.  The bits are those of the
-serial run, which applies the gates one by one: a CNOT is an exact move,
-each amplitude is multiplied by the same factor in the same order, and
-numpy's complex product by a value rounds alike whether the value is a
-scalar or an array element, in passes of two amplitudes or more.  The
-serial run (``run_with_insertions``) stays gate by gate; it is the
-oracle the blocks are tested against.
+amplitude back at its logical position.
+
+Every row has the bits of the gate-by-gate oracle the tests hold it
+against, ``serial_run`` in ``tests/gate_oracle.py``: it runs one
+register alone, moves the amplitudes of a CNOT by an exact index
+permutation and sends every other gate through ``_apply_inplace``.
+Every amplitude sees the same operations in the same order, a CNOT is an
+exact move, and numpy rounds a complex product by a scalar and by an
+array element of that value alike, in passes of two amplitudes or more.
+It rounds a product on a single amplitude by another loop, and on one
+qubit a pass holds one amplitude; so 1-qubit trajectories run one row
+per block, gate by gate.
 
 Noisy trajectories run as the rows of such blocks, each block capped at
 ``_BATCH_BYTES``.  Every gate is applied once to the rows that have
@@ -126,13 +124,6 @@ class Estimate(NamedTuple):
     std_error: float
 
 
-#: A one-qubit gate on qubit n-2 of a row-major view runs as two strided
-#: passes once each pass holds this many amplitudes.  From 64 on, H, T, RX
-#: and X all ran at least as fast split (a 10-qubit register: H 18 us
-#: against 38 us whole); at 16 and 32, T and X ran slower split.
-_SPLIT = 64
-
-
 def _rz_phases(theta: float) -> tuple[complex, complex]:
     """RZ(theta)'s factors on target bit 0 and target bit 1."""
     half = theta / 2.0
@@ -185,47 +176,25 @@ def _one_qubit(gate: Gate, a: np.ndarray, b: np.ndarray, scratch: np.ndarray) ->
 
 
 def _apply_inplace(state: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -> None:
-    """Apply the gate in place to ``state``, a (lead, 2^n, trail) view of
-    one register or of a block's joined rows (see the module docstring),
-    with ``scratch`` of at least state.size amplitudes for ``_one_qubit``.
-
-    With ``trail`` 1, a one-qubit gate on qubit n-2, whose amplitude
-    pairs lie in runs of two, runs as two strided passes, one per low
-    index, instead of one loop of two-amplitude runs, where each pass
-    holds at least ``_SPLIT`` amplitudes.
-    """
+    """Apply a one-qubit gate or a CZ in place to ``state``, a (lead,
+    2^n, trail) view of a block's joined rows or of one row (see the
+    module docstring), with ``scratch`` of at least state.size amplitudes
+    for ``_one_qubit``.  A CNOT never reaches the kernel: blocks on
+    n >= 2 qubits relabel it."""
     kind = gate.kind
     if kind == "IDLE":
         return
     lead, _, trail = state.shape
     if not gate.is_two_qubit:
         q = gate.targets[0]
-        low = 1 << (n - q - 1)
-        m = state.reshape(lead << q, 2, low, trail)
-        if trail == 1 and low == 2 and lead << q >= _SPLIT:
-            for j in (0, 1):
-                _one_qubit(gate, m[:, 0, j, 0], m[:, 1, j, 0], scratch)
-        else:
-            _one_qubit(gate, m[:, 0], m[:, 1], scratch)
+        m = state.reshape(lead << q, 2, 1 << (n - q - 1), trail)
+        _one_qubit(gate, m[:, 0], m[:, 1], scratch)
         return
-    t0, t1 = gate.targets
-    p0, p1 = (t0, t1) if t0 < t1 else (t1, t0)
-    v = state.reshape(lead << p0, 2, 1 << (p1 - p0 - 1), 2, 1 << (n - p1 - 1), trail)
-    if kind == "CZ":
-        v[:, 1, :, 1] *= -1.0
-    elif kind == "CNOT":
-        if t0 < t1:  # control is the earlier axis
-            sub = v[:, 1]
-            tmp = sub[:, :, 0].copy()
-            sub[:, :, 0] = sub[:, :, 1]
-            sub[:, :, 1] = tmp
-        else:
-            sub = v[:, :, :, 1]
-            tmp = sub[:, 0].copy()
-            sub[:, 0] = sub[:, 1]
-            sub[:, 1] = tmp
-    else:
+    if kind != "CZ":
         raise AssertionError(f"unhandled kind {kind!r}")
+    p0, p1 = sorted(gate.targets)
+    v = state.reshape(lead << p0, 2, 1 << (p1 - p0 - 1), 2, 1 << (n - p1 - 1), trail)
+    v[:, 1, :, 1] *= -1.0
 
 
 #: One potential insertion point: (gate index, firing rate, gate targets).
@@ -383,23 +352,14 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
 
 def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
     """Run the circuit from |0...0>, applying each insertion right after
-    its gate."""
-    n = circuit.n_qubits
-    state = np.zeros(1 << n, dtype=np.complex128)
-    state[0] = 1.0
-    view = state[None, :, None]
-    scratch = np.empty_like(state)
-    for i, gate in enumerate(circuit.gates):
-        _apply_inplace(view, gate, n, scratch)
-        extra = insertions.get(i)
-        if extra is not None:
-            for pauli in extra:
-                _apply_inplace(view, pauli, n, scratch)
-    return state
+    its gate, as a block of one row.  In the package only ``run_ideal``
+    calls it; ``perfbench/replay.py`` times it."""
+    scratch = np.empty(1 << circuit.n_qubits, dtype=np.complex128)
+    return _run_block(circuit, [insertions], scratch)[0]
 
 
 def run_ideal(circuit: Circuit) -> QuantumState:
-    """Left-to-right noiseless application of the whole circuit to |0...0>."""
+    """The noiseless run of the whole circuit from |0...0>."""
     return run_with_insertions(circuit, {})
 
 
@@ -494,23 +454,21 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
 
     Each gate acts once on the rows that have joined, the first
     ``active``; an insertion then acts on its own row, so every row sees
-    the serial run's operations in its order.  If row 0 is the ideal run
-    (no insertions), the other rows, ordered by their first insertion,
-    join as copies of row 0 just after that insertion's gate: up to there
-    a row sees exactly the ideal run's operations.  Otherwise every row
-    runs from |0...0>.
+    the operations of a run of its own in their order.  If row 0 is the
+    ideal run (no insertions), the other rows, ordered by their first
+    insertion, join as copies of row 0 just after that insertion's gate:
+    up to there a row sees exactly the ideal run's operations.  Otherwise
+    every row runs from |0...0>.
 
     On n >= 2 qubits each stretch of CNOT and RZ gates runs relabelled
     (``_Relabelling``): a CNOT only XORs label arrays, and an RZ
     multiplies the joined rows by one phase row that holds, at each
-    position, the factor the serial run multiplies that amplitude by.
-    Before any other gate, before an insertion (a row joins only at a
-    gate it has an insertion after), and after the last gate, one gather
-    over the whole block, unjoined rows of zeros included, puts every
-    amplitude back in place.  The bits match because a CNOT is an exact
-    move and numpy rounds a product by a scalar and by an array element
-    of that value alike in passes of two amplitudes or more; a one-qubit
-    RZ pass holds one, so one-qubit blocks run gate by gate.
+    position, the factor of the amplitude stored there.  Before any other
+    gate, before an insertion (a row joins only at a gate it has an
+    insertion after), and after the last gate, one gather over the whole
+    block, unjoined rows of zeros included, puts every amplitude back in
+    place.  A one-qubit RZ pass holds one amplitude, so one-qubit blocks
+    run gate by gate (see the module docstring).
     """
     n = circuit.n_qubits
     wide = len(block) >= _WIDE
@@ -610,7 +568,7 @@ def mean_over_trajectories(
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     sites = noise_sites(circuit, noise)
     if not sites:
-        ideal = _run_block(circuit, [{}], np.empty(1 << circuit.n_qubits, np.complex128))[0]
+        ideal = run_ideal(circuit)
         return Estimate(observe(ideal, ideal), 0.0)
     n = circuit.n_qubits
     # On one qubit, T and RZ multiply a single amplitude per row, and numpy

@@ -1,9 +1,15 @@
-"""The dense reference for the gate set.
+"""The references the tests hold the engine against.
 
 ``gate_matrix`` writes each gate out as its 2x2 or 4x4 unitary.  The
 engine never builds these matrices: it applies gates with strided slice
-arithmetic.  So the tests hold the engine against this independent
-reference.
+arithmetic.  So the tests hold the engine's kernel against this
+independent reference.
+
+``serial_run`` is the gate-by-gate oracle for the engine's blocks: one
+register, one gate at a time.  It moves a CNOT's amplitudes by an exact
+index permutation, ``cnot_source``, which the tests check against
+``gate_matrix``, and sends every other gate through the engine's kernel
+``_apply_inplace``.  Every row of a block must match it bit for bit.
 """
 
 import cmath
@@ -11,6 +17,8 @@ import math
 
 import numpy as np
 
+from qfeas.sim.circuit import Circuit
+from qfeas.sim.engine import _apply_inplace
 from qfeas.sim.gates import Gate
 
 _SQ2 = math.sqrt(0.5)
@@ -48,3 +56,29 @@ def gate_matrix(gate: Gate) -> np.ndarray:
         m[[2, 3]] = m[[3, 2]]
         return m
     raise AssertionError(f"unhandled kind {k!r}")
+
+
+def cnot_source(n: int, control: int, target: int) -> np.ndarray:
+    """CNOT(control, target) on n qubits as an index permutation: the
+    amplitude it leaves at index i is the one at ``source[i]``, which is
+    i with the target bit flipped where the control bit is set (qubit 0
+    is the high bit)."""
+    index = np.arange(1 << n)
+    flip = np.where(index & (1 << (n - 1 - control)), 1 << (n - 1 - target), 0)
+    return index ^ flip
+
+
+def serial_run(circuit: Circuit, insertions: dict[int, tuple[Gate, ...]]) -> np.ndarray:
+    """Run the circuit from |0...0> on one register, one gate at a time,
+    applying each insertion's Pauli gates right after its gate."""
+    n = circuit.n_qubits
+    state = np.zeros(1 << n, dtype=np.complex128)
+    state[0] = 1.0
+    scratch = np.empty_like(state)
+    for i, gate in enumerate(circuit.gates):
+        for g in (gate, *insertions.get(i, ())):
+            if g.kind == "CNOT":
+                state = state[cnot_source(n, *g.targets)]
+            else:
+                _apply_inplace(state[None, :, None], g, n, scratch)
+    return state

@@ -2,7 +2,7 @@
 
 ``mean_over_trajectories`` runs the ideal run and the noisy trajectories
 as rows of blocks; the oracle runs every trajectory alone with
-``run_with_insertions``, also those that drew no insertion.  The
+``serial_run``, also those that drew no insertion.  The
 observable hashes every byte of the final state, so one differing bit in
 any row, the ideal row included, changes the mean.  Block sizes fall on
 both sides of ``_WIDE``, so both block layouts meet the oracle.
@@ -23,12 +23,12 @@ from qfeas.sim.engine import (
     NoiseModel,
     mean_over_trajectories,
     noise_sites,
-    run_ideal,
-    run_with_insertions,
     sample_insertions,
 )
 from qfeas.sim.gates import ONE_QUBIT_KINDS, Gate
 from qfeas.sim.grover import controlled_phase_gates
+
+from gate_oracle import serial_run
 
 
 def _state_hash(state):
@@ -86,9 +86,9 @@ PHASE_NETWORK = Circuit(4, (
        slack=st.integers(0, 15))
 @example(circuit=Circuit(1, (Gate("H", (0,)), Gate("T", (0,)), Gate("RZ", (0,), 0.3))),
          eps=(0.2, 0.2, 0.2), n_traj=20, seed=1, rows=4, slack=0)
-# Qubit 0 of two is qubit n-2.  Were it split below ``_SPLIT`` amplitudes
-# per pass, the oracle's register would take passes of one amplitude,
-# which numpy rounds by another loop, and a two-row block passes of two.
+# Qubit 0 of two is qubit n-2, whose amplitude pairs lie in runs of two:
+# the oracle's passes there hold two amplitudes, and a two-row block's
+# must round alike.
 @example(circuit=PHASES_ON_QUBIT_0, eps=(0.2, 0.2, 0.2), n_traj=20, seed=3, rows=2, slack=0)
 @example(circuit=PHASE_NETWORK, eps=(0.05, 0.05, 0.05), n_traj=20, seed=5, rows=2, slack=0)
 @example(circuit=PHASE_NETWORK, eps=(0.05, 0.05, 0.05), n_traj=60, seed=5, rows=_WIDE,
@@ -96,7 +96,7 @@ PHASE_NETWORK = Circuit(4, (
 def test_batched_loop_matches_serial_oracle(circuit, eps, n_traj, seed, rows, slack):
     noise = NoiseModel(ErrorBudget(*eps))
     sites = noise_sites(circuit, noise)
-    values = np.array([_state_hash(run_with_insertions(
+    values = np.array([_state_hash(serial_run(
         circuit, sample_insertions(sites, seed + i))) for i in range(n_traj)])
     mean = float(values.mean())
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
@@ -111,4 +111,4 @@ def test_batched_loop_matches_serial_oracle(circuit, eps, n_traj, seed, rows, sl
     with mock.patch.object(engine, "_BATCH_BYTES", rows * row_bytes + slack):
         got = mean_over_trajectories(circuit, noise, n_traj, seed, observe)
     assert (got[0].hex(), got[1].hex()) == (mean.hex(), std_error.hex())
-    assert ideals == {_state_hash(run_ideal(circuit))}
+    assert ideals == {_state_hash(serial_run(circuit, {}))}

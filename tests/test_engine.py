@@ -47,7 +47,7 @@ from qfeas.sim.gates import (
     z,
 )
 
-from gate_oracle import gate_matrix
+from gate_oracle import cnot_source, gate_matrix, serial_run
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -137,7 +137,8 @@ class TestApplyGate:
 
     @pytest.mark.parametrize("n", [8, 11])
     def test_matches_dense_oracle_on_split_passes(self, n):
-        # qubit n-2 of a register this wide runs as two strided passes
+        # qubit n-2, whose amplitude pairs lie in runs of two, on registers
+        # wide enough to hold many such runs
         prep = prepared(n, n)
         for gate in (h(n - 2), rx(n - 2, 0.8), y(n - 2), x(n - 2), rx(n - 2, -1.2)):
             assert_matches_dense(n, prep, gate)
@@ -193,10 +194,11 @@ class TestRunBlock:
         assert peak < 2.4 * block_bytes
         assert states.flags.c_contiguous and states.shape == (399, 64)
         for r in (0, 1, 200, 398):
-            assert states[r].tobytes() == run_with_insertions(circuit, block[r]).tobytes()
+            assert states[r].tobytes() == serial_run(circuit, block[r]).tobytes()
 
     def test_narrow_block_matches_the_serial_oracle(self):
-        # row-major; on 8 qubits H and RX on qubit 6 run as two split passes
+        # row-major; on 8 qubits H and RX on qubit 6 pair the amplitudes of
+        # each row in runs of two
         n = 8
         gates = []
         for q in range(n):
@@ -207,7 +209,22 @@ class TestRunBlock:
         states = _run_block(circuit, block, scratch)
         assert states.shape == (4, 1 << n)
         for row, insertions in zip(states, block):
-            assert row.tobytes() == run_with_insertions(circuit, insertions).tobytes()
+            assert row.tobytes() == serial_run(circuit, insertions).tobytes()
+
+
+class TestSerialOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_cnot_permutation_matches_the_dense_oracle(self, n):
+        """``serial_run`` moves a CNOT's amplitudes by ``cnot_source``; on a
+        generic state that must be ``gate_matrix``'s action, exactly, with
+        the control above the target and below it."""
+        state = random_state(n, 40 + n)
+        for control in range(n):
+            for target in range(n):
+                if control != target:
+                    want = dense_apply(state, cnot(control, target))
+                    got = state[cnot_source(n, control, target)]
+                    np.testing.assert_array_equal(got, want)
 
 
 class TestRunIdeal:
@@ -229,13 +246,13 @@ class TestTrajectories:
         ideal = run_ideal(c)
         sites = noise_sites(c, NoiseModel(ErrorBudget()))
         for seed in (0, 1, 999):
-            traj = run_with_insertions(c, sample_insertions(sites, seed))
-            np.testing.assert_array_equal(traj, ideal)
+            traj = serial_run(c, sample_insertions(sites, seed))
+            assert traj.tobytes() == ideal.tobytes()
 
     def test_certain_insertion_always_changes_the_state(self):
         c = Circuit(1, (x(0),))
         sites = noise_sites(c, NoiseModel(ErrorBudget(eps1=1.0)))
-        ideal = run_ideal(c)
+        ideal = serial_run(c, {})
         for seed in range(30):
             traj = run_with_insertions(c, sample_insertions(sites, seed))
             assert not np.array_equal(traj, ideal)

@@ -2,8 +2,8 @@
 
 ``_run_block`` lets a noisy row join just after its first insertion's
 gate as a copy of the ideal row 0; a block without an ideal row runs
-every row from |0...0>.  Each row must still match the serial oracle
-``run_with_insertions`` bit for bit, in both block layouts: below
+every row from |0...0>.  Each row must still match the gate-by-gate
+oracle ``serial_run`` bit for bit, in both block layouts: below
 ``_WIDE`` rows a block is row-major, from ``_WIDE`` rows on it stores
 the rows innermost.  ``_blocks`` draws every
 trajectory with ``_draws``, from one Philox generator that each
@@ -37,12 +37,12 @@ from qfeas.sim.engine import (
     _run_block,
     mean_over_trajectories,
     noise_sites,
-    run_ideal,
-    run_with_insertions,
     sample_insertions,
 )
 from qfeas.sim.gates import Gate
 from qfeas.sim.grover import build_grover_circuit
+
+from gate_oracle import serial_run
 
 SEEDS = (0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3)
 
@@ -54,7 +54,7 @@ def _state_hash(state):
 def _serial(circuit, noise, n_traj, seed):
     """Mean and standard error of the state hash, one trajectory at a time."""
     sites = noise_sites(circuit, noise)
-    values = np.array([_state_hash(run_with_insertions(
+    values = np.array([_state_hash(serial_run(
         circuit, sample_insertions(sites, seed + i))) for i in range(n_traj)])
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return float(values.mean()).hex(), std_error.hex()
@@ -88,7 +88,7 @@ def _assert_rows_match_oracle(circuit, block):
     states = _run(circuit, block)
     assert states.shape == (len(block), 1 << circuit.n_qubits)
     for row, insertions in zip(states, block):
-        assert row.tobytes() == run_with_insertions(circuit, insertions).tobytes()
+        assert row.tobytes() == serial_run(circuit, insertions).tobytes()
 
 
 def _filler(width, lowest):
@@ -112,7 +112,7 @@ def test_rows_join_after_gate_zero_the_last_gate_and_together():
         block = [{}] + sorted(noisy + _filler(width - 1 - len(noisy), 1), key=min)
         assert len(block) == width
         _assert_rows_match_oracle(CIRCUIT, block)
-        assert _run(CIRCUIT, block)[0].tobytes() == run_ideal(CIRCUIT).tobytes()
+        assert _run(CIRCUIT, block)[0].tobytes() == serial_run(CIRCUIT, {}).tobytes()
 
 
 def test_block_without_ideal_row_runs_every_row_from_the_start():

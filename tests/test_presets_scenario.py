@@ -117,6 +117,28 @@ hardware:
 algorithm: {kind: shor, size: 16}
 """)
 
+    @pytest.mark.parametrize("section, key", [
+        *(("hardware", key) for key in (
+            "eps0", "eps1", "eps2", "t2", "gate_time_1q", "gate_time_2q", "cycle_time",
+            "time_per_qubit_layer", "yield_p", "area_per_qubit", "dissipation_per_qubit")),
+        *(("qec", key) for key in (
+            "eps_nc", "ops_per_logical_gate", "factory_overhead", "correctable_prefactor",
+            "floor_prefactor")),
+        ("cryo", "cooling_power_cold"), ("cryo", "wall_power_per_fridge"),
+    ])
+    def test_number_beyond_the_float_range_is_named(self, section, key):
+        doc = {"hardware": {"preset": "sc-2020"}, "algorithm": {"kind": "shor", "size": 2048}}
+        doc.setdefault(section, {})[key] = -10 ** 400 if key == "eps0" else 10 ** 400
+        with pytest.raises(ScenarioValidationError) as info:
+            parse_scenario(yaml.safe_dump(doc))
+        assert str(info.value) == (
+            f"{section}.{key} must be a number within the float range (about 1.8e308)")
+
+    def test_integer_number_within_the_float_range_stays_an_integer(self):
+        scenario = parse_scenario(f"{MINIMAL}qec: {{factory_overhead: {10 ** 300}}}\n")
+        echoed = scenario_to_dict(scenario)["qec"]["factory_overhead"]
+        assert type(echoed) is int and echoed == 10 ** 300
+
     def test_bad_algorithm_kind(self):
         with pytest.raises(ScenarioValidationError, match="kind"):
             parse_scenario("hardware: sc-2020\nalgorithm: {kind: annealing, size: 4}\n")

@@ -27,7 +27,7 @@ from qfeas.scenario import ScenarioParseError, parse_scenario
 from qfeas.sim import MAX_QUBITS, optimal_iterations
 
 #: Values of the wrong type or sign, drawn in place of a valid one.
-JUNK = st.sampled_from([None, True, "x", [1], {"a": 1}, -1, 0, -1.0e300])
+JUNK = st.sampled_from([None, True, "x", [1], {"a": 1}, -1, 0, -1.0e300, 10 ** 400])
 
 UNIT = st.floats(min_value=0.0, max_value=1.0)
 #: Positive floats up to 1e300, subnormals included.
@@ -212,6 +212,10 @@ def _check_output_contract(scenario_path, text):
 # a faulty key rarely reaches code-size selection among the generated cases
 @example(text=f"hardware: sc-2020\nalgorithm: {{kind: shor, size: 2048}}\n"
               f"qec: {{nc_max: {10 ** 400}}}\n")
+# an integer number field beyond the float range (it once ended in an
+# OverflowError traceback)
+@example(text=f"hardware: sc-2020\nalgorithm: {{kind: shor, size: 2048}}\n"
+              f"qec: {{factory_overhead: {10 ** 400}}}\n")
 # the required eps2 underflows to 0 (it once ended in a ZeroDivisionError)
 @example(text="hardware: sc-2009\nalgorithm: {kind: chemistry, size: 100, "
               "chemistry_prefactor: 1.0e+296, target_fidelity: 0.9999999999999999}\n")
