@@ -13,19 +13,21 @@ with block size and caps the achievable gain.
 Code-size selection returns what a scan of every n_c in [1, nc_max]
 would return from ``logical_error_rate`` (the first minimum, ties toward
 the smaller size; the first size at or below a target), but evaluates
-eps_L O(log nc_max) times.  Write r = eps2/eps_th and s = B * eps_nc.
+eps_L O(log nc_max) times.  Write s = B * eps_nc.
 
 * With s = 0, eps_L never increases with n_c, so both answers are the
-  first size at or below a level, found by bisection.
-* With s > 0, eps_L is convex in n_c.  Its minimum lies next to the
-  stationary point of A r^x + s x^2 in x = sqrt(n_c), solved on the log
-  scale without evaluating eps_L.  A window grows from there, one size
-  at a time, until each edge is worse than the best size inside by more
-  than twice the rounding error of eps_L (convexity then rules out every
-  size beyond it), or, on the right, until the floor term alone reaches
-  the best value.  The first minimum inside the window is the answer.
-  The first size at or below a target comes from a bisection with the
-  same margin, then a short walk through the sizes inside it.
+  first size at or below a level, found by bisection.  So too when the
+  floor term at nc_max is below half an ulp of the correctable term
+  there: no evaluation of eps_L then sees the floor term.
+* Otherwise eps_L is convex in n_c.  A bisection finds a size whose
+  successor evaluates higher (nc_max if none does), and a window grows
+  from there, one size at a time, until each edge is worse than the
+  best size inside by more than twice the rounding error of eps_L
+  (convexity then rules out every size beyond it), or, on the right,
+  until the floor term alone reaches the best value.  The first minimum
+  inside the window is the answer, wherever the window starts.  The
+  first size at or below a target comes from a bisection with the same
+  margin, then a short walk through the sizes inside it.
 
 The margin assumes IEEE-754 doubles and a ``pow`` good to an ulp.  The
 window is a few sizes wide in practice; it widens only where eps_L is
@@ -125,10 +127,13 @@ def logical_error_rate(eps2: float, code: QecCode, n_c: int) -> float:
         raise ValueError(f"eps2 must be >= 0, got {eps2!r}")
     if n_c < 1:
         raise ValueError(f"n_c must be >= 1, got {n_c!r}")
-    correctable = code.correctable_prefactor * (eps2 / code.eps_th) ** math.sqrt(n_c)
     # The floor term is (floor_prefactor * eps_nc) * n_c: code-size
     # selection reads that first product as the floor's slope.
-    return correctable + code.floor_prefactor * code.eps_nc * n_c
+    return _correctable(eps2, code, n_c) + code.floor_prefactor * code.eps_nc * n_c
+
+
+def _correctable(eps2: float, code: QecCode, n_c: int) -> float:
+    return code.correctable_prefactor * (eps2 / code.eps_th) ** math.sqrt(n_c)
 
 
 def _check_below_threshold(eps2: float, code: QecCode) -> None:
@@ -140,10 +145,22 @@ def _check_below_threshold(eps2: float, code: QecCode) -> None:
             "error correction gains nothing from larger codes")
 
 
+def _bisect(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
+    """A size in (lo, hi] where ``holds`` turns true (``holds(hi)`` is
+    assumed, not asked); the first one if it never turns back."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _first_at_or_below(eps2: float, code: QecCode, level: float,
-                       cutoff: float, n_c: int, value: float) -> CodeOptimum:
+                       cutoff: float, n_c: int) -> CodeOptimum:
     """First size whose eps_L is at or below ``level``, given a size
-    ``n_c`` at or below it whose eps_L is ``value``.
+    ``n_c`` at or below it.
 
     Bisects for the first size at or below ``cutoff >= level``, then
     walks up to ``level``.  Exact when eps_L never increases up to n_c
@@ -152,14 +169,8 @@ def _first_at_or_below(eps2: float, code: QecCode, level: float,
     point is then above the cutoff, so every smaller size is above the
     level.
     """
-    lo = 0
-    while n_c - lo > 1:
-        mid = (lo + n_c) // 2
-        v = logical_error_rate(eps2, code, mid)
-        if v <= cutoff:
-            n_c, value = mid, v
-        else:
-            lo = mid
+    n_c = _bisect(0, n_c, lambda k: logical_error_rate(eps2, code, k) <= cutoff)
+    value = logical_error_rate(eps2, code, n_c)
     while not value <= level:
         n_c += 1
         value = logical_error_rate(eps2, code, n_c)
@@ -183,37 +194,22 @@ def _rounding_margin(eps2: float, code: QecCode) -> Callable[[float], float]:
     return lambda level: relative * level + absolute
 
 
-def _stationary_size(eps2: float, code: QecCode, slope: float) -> int:
-    """Integer part of x*^2, clamped to [1, nc_max], where x* > 0 is the
-    stationary point of A r^x + s x^2.
-
-    x* solves ln(A |ln r|) + x ln r - ln(2 s x) = 0, whose left side
-    falls as x grows; it is bisected on the log scale.
-    """
-    ratio = eps2 / code.eps_th
-    if ratio == 0.0:
-        return 1
-    log_r = math.log(ratio)
-    offset = (math.log(code.correctable_prefactor) + math.log(-log_r)
-              - math.log(2.0) - math.log(slope))
-    lo, hi = 1.0, math.sqrt(code.nc_max)
-    if offset + lo * log_r - math.log(lo) <= 0.0:
-        return 1
-    if offset + hi * log_r - math.log(hi) >= 0.0:
-        return code.nc_max
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        if offset + mid * log_r - math.log(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return min(max(int(lo * lo), 1), code.nc_max)
+def _floor_slope(eps2: float, code: QecCode) -> float:
+    """B * eps_nc, or 0.0 when no evaluation of eps_L sees the floor term:
+    the floor term at nc_max is below half an ulp of the correctable term
+    there (strictly, as a tie can round up), and at smaller sizes the one
+    only shrinks and the other only grows."""
+    slope = code.floor_prefactor * code.eps_nc
+    if 2.0 * (slope * code.nc_max) < math.ulp(_correctable(eps2, code, code.nc_max)):
+        return 0.0
+    return slope
 
 
 def _convex_minimum(eps2: float, code: QecCode, slope: float) -> CodeOptimum:
     """First minimum of eps_L when its floor term is positive."""
-    start = _stationary_size(eps2, code, slope)
+    # a size whose successor evaluates higher, or nc_max
+    start = _bisect(0, code.nc_max, lambda n: logical_error_rate(eps2, code, n + 1)
+                    > logical_error_rate(eps2, code, n))
     best = CodeOptimum(start, logical_error_rate(eps2, code, start))
     margin = _rounding_margin(eps2, code)
 
@@ -244,11 +240,11 @@ def optimal_code_size(eps2: float, code: QecCode) -> CodeOptimum:
         # An infinite prefactor or floor slope: no size gets below inf,
         # and nan never wins a comparison.
         return CodeOptimum(1, first)
-    slope = code.floor_prefactor * code.eps_nc
+    slope = _floor_slope(eps2, code)
     if slope > 0.0:
         return _convex_minimum(eps2, code, slope)
     last = logical_error_rate(eps2, code, code.nc_max)
-    return _first_at_or_below(eps2, code, last, last, code.nc_max, last)
+    return _first_at_or_below(eps2, code, last, last, code.nc_max)
 
 
 def error_floor(eps2: float, code: QecCode) -> FloorValue:
@@ -283,9 +279,9 @@ def required_code_size(eps2: float, code: QecCode, target_eps_l: float) -> int:
             f"no code size in [1, {code.nc_max}] reaches eps_L <= {target_eps_l!r} "
             f"at eps2={eps2!r} (floor {best.eps_l:.4g})")
     cutoff = target
-    if code.floor_prefactor * code.eps_nc > 0.0:
+    if _floor_slope(eps2, code) > 0.0:
         cutoff += _rounding_margin(eps2, code)(target)
-    return _first_at_or_below(eps2, code, target, cutoff, *best).n_c
+    return _first_at_or_below(eps2, code, target, cutoff, best.n_c).n_c
 
 
 def physical_resources(n_logical: int, n_c: int, code: QecCode) -> int | float:

@@ -401,6 +401,22 @@ class TestEntryPoint:
         assert result.stderr == ""
         assert result.stdout.splitlines()[-1] == "(2, 0) False"
 
+    def test_absorbed_floor_search_ends(self, tmp_path):
+        # eps2 one ulp below threshold, and a floor term that rounds away at
+        # every one of 10^12 sizes: eps_L is flat to within rounding there
+        text = ("hardware: {preset: sc-2020, eps2: 0.009999999999999998}\n"
+                "algorithm: {kind: shor, size: 2048}\n"
+                "qec: {eps_nc: 1.0e-300, nc_max: 1000000000000}\n")
+        script = ("import sys\nfrom qfeas.cli import main\n"
+                  f"sys.exit(main(['estimate', {write(tmp_path, 's.yaml', text)!r}, "
+                  "'--format', 'machine']))\n")
+        src = str(Path(qfeas.__file__).parents[1])
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=20)
+        assert result.returncode == 3
+        doc = json.loads(result.stdout, parse_constant=_reject_constant)
+        assert doc["qec_error"]["type"] == "FloorUnreachableError"
+
     def test_console_script_exits_with_main_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["qfeas", "presets", "--format", "machine"])
         with pytest.raises(SystemExit) as exc:

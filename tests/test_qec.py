@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfeas import qec
 from qfeas.qec import (
@@ -226,9 +226,12 @@ class TestSearchAgainstReferenceScans:
         # and the bisection for a target a few subnormals above the floor
         (1.7753005083749007e-06, {"eps_nc": 5e-324, "nc_max": 10_000,
                                   "correctable_prefactor": 7.0}),
+        # the floor term rounds away at every size
+        (math.nextafter(0.01, 0.0), {"eps_nc": 1e-300, "nc_max": 100_000}),
     ], ids=["no-floor", "flat", "subnormal-tie", "subnormal", "underflow",
             "underflow-floor", "prefactors-a", "prefactors-b",
-            "subnormal-prefactor-a", "subnormal-prefactor-b", "subnormal-target"])
+            "subnormal-prefactor-a", "subnormal-prefactor-b", "subnormal-target",
+            "absorbed-floor"])
     def test_edge_cases_match_reference_scans(self, eps2, kwargs):
         code = QecCode(**kwargs)
         optimum, expected = optimal_code_size(eps2, code), brute_force_optimum(eps2, code)
@@ -238,13 +241,50 @@ class TestSearchAgainstReferenceScans:
                        floor + 5e-324, floor + 2e-323):
             check_required(eps2, code, target)
 
-    def test_flat_window_holds_only_its_best_size(self):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(min_value=-7.0, max_value=math.log10(9.9e-3)),
+        st.one_of(
+            st.integers(min_value=1, max_value=2 ** 52 - 1).map(lambda k: k * 5e-324),
+            st.floats(min_value=-320.0, max_value=-250.0).map(lambda e: 10.0 ** e),
+            st.floats(min_value=-15.0, max_value=-9.0).map(lambda e: 10.0 ** e)),
+        st.integers(min_value=1, max_value=5_000),
+        st.floats(min_value=0.0, max_value=300.0),
+        st.integers(min_value=1, max_value=5_000),
+    )
+    # a window started at the stationary point of the real-valued law
+    # evaluates 769 sizes here
+    @example(-6.9942793115600645, 2.87250348562466e-309, 4947, 103.49057301058167, 2_000)
+    def test_underflowing_correctable_term_matches_reference_scans(
+            self, log_eps2, eps_nc, nc_max, log_a, probe):
+        """Log-uniform eps2 down to 1e-7 and prefactors up to 1e300, so the
+        correctable term can underflow inside the range, and a start taken
+        from the real-valued law can land far from the evaluated minimum."""
+        eps2 = 10.0 ** log_eps2
+        code = QecCode(eps_nc=eps_nc, nc_max=nc_max, correctable_prefactor=10.0 ** log_a)
+        optimum, expected = optimal_code_size(eps2, code), brute_force_optimum(eps2, code)
+        assert (optimum.n_c, optimum.eps_l.hex()) == (expected.n_c, expected.eps_l.hex())
+        floor = optimum.eps_l
+        for target in (floor, math.nextafter(floor, 0.0), 1.5 * floor,
+                       logical_error_rate(eps2, code, min(probe, nc_max))):
+            check_required(eps2, code, target)
+
+    def test_flat_window_holds_only_its_best_size(self, monkeypatch):
         """Here eps_L is flat to within rounding over tens of thousands of
-        sizes, and the search evaluates 77,320 of them; the window walk
-        keeps only the best size so far, where a table of every size it
-        evaluates would peak at 6.8 MiB."""
+        sizes.  A window started at the stationary point of the real-valued
+        law walked 77,320 of them; started where the evaluated eps_L turns
+        up, it walks 383.  The walk keeps only the best size so far, where
+        a table of every size it evaluates would grow with the window."""
         eps2 = 7.2e-4
         code = QecCode(eps_nc=4.3e-308, nc_max=157_176, correctable_prefactor=1e300)
+        calls = [0]
+        real = qec.logical_error_rate
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(qec, "logical_error_rate", counted)
         tracemalloc.start()
         try:
             optimum = optimal_code_size(eps2, code)
@@ -252,26 +292,35 @@ class TestSearchAgainstReferenceScans:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+        assert calls[0] <= 1_000
         expected = brute_force_optimum(eps2, code)
         assert (optimum.n_c, optimum.eps_l.hex()) == (expected.n_c, expected.eps_l.hex())
 
-    @pytest.mark.parametrize("eps_nc", [0.0, 1e-12])
-    def test_evaluations_grow_with_log_nc_max(self, monkeypatch, eps_nc):
+    @pytest.mark.parametrize("eps2, eps_nc, nc_max", [
+        pytest.param(9.9e-3, 0.0, 10 ** 7, id="0.0"),
+        pytest.param(9.9e-3, 1e-12, 10 ** 7, id="1e-12"),
+        # eps2 one ulp below threshold: the floor term rounds away at every
+        # size, and eps_L is flat to within rounding over most of the range
+        pytest.param(math.nextafter(0.01, 0.0), 1e-300, 10 ** 12, id="absorbed-floor"),
+    ])
+    def test_evaluations_grow_with_log_nc_max(self, monkeypatch, eps2, eps_nc, nc_max):
         calls = []
         real = qec.logical_error_rate
 
         def counted(*args):
             calls.append(args[2])
+            if len(calls) > 200:  # fail here rather than walk the range
+                raise AssertionError(f"more than 200 evaluations, last at {args[2]}")
             return real(*args)
 
         monkeypatch.setattr(qec, "logical_error_rate", counted)
-        code = QecCode(eps_nc=eps_nc, nc_max=10 ** 7)
-        floor = float(error_floor(9.9e-3, code))
+        code = QecCode(eps_nc=eps_nc, nc_max=nc_max)
+        floor = float(error_floor(eps2, code))
         assert 0 < len(calls) <= 200
         for target in (1.5 * floor, 0.5 * floor):
             calls.clear()
             try:
-                required_code_size(9.9e-3, code, target)
+                required_code_size(eps2, code, target)
             except FloorUnreachableError:
                 assert target < floor
             assert 0 < len(calls) <= 200
