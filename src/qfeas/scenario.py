@@ -23,6 +23,7 @@ Example::
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 
@@ -33,7 +34,7 @@ from .engineering import CryoProfile
 from .model import CHANNELS, ErrorBudget, HardwareProfile
 from .presets import get_preset
 from .qec import QecCode
-from .sim import MAX_QUBITS, optimal_iterations
+from .sim import MAX_QUBITS, check_marked, optimal_iterations
 
 
 class ScenarioParseError(ValueError):
@@ -92,7 +93,8 @@ class SimulationSettings:
                 raise ValueError(f"{name} belongs to kind {other!r}, not {self.kind!r}")
         qubits = self.qubits
         _check_int("qubits", qubits, 2 if self.kind == "random" else 1, MAX_QUBITS)
-        _check_int("trajectories", self.trajectories, 1)
+        # numpy indexes no array of more than sys.maxsize trajectories
+        _check_int("trajectories", self.trajectories, 1, sys.maxsize)
         _check_int("seed", self.seed, 0)
         if self.kind == "random":
             if not self.depths:
@@ -117,10 +119,7 @@ class SimulationSettings:
         _check_int("iterations", self.iterations, 0)
         if self.marked is None:
             object.__setattr__(self, "marked", "1" * qubits)
-        marked = self.marked
-        if not isinstance(marked, str) or len(marked) != qubits or set(marked) - {"0", "1"}:
-            raise ValueError(
-                f"marked must be a string of {qubits} bits, got {marked!r}")
+        check_marked(qubits, self.marked)
 
 
 @dataclass(frozen=True)

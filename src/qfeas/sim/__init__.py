@@ -11,6 +11,12 @@ import math
 MAX_QUBITS = 16
 
 
+def check_marked(n: int, marked: object) -> None:
+    """Raise ValueError unless ``marked`` is a string of n bits."""
+    if not isinstance(marked, str) or len(marked) != n or set(marked) - {"0", "1"}:
+        raise ValueError(f"marked must be a string of {n} bits, got {marked!r}")
+
+
 def optimal_iterations(n: int) -> int:
     """Grover iteration count maximizing success: floor(pi / (4*asin(2^(-n/2))))."""
     if n < 1:

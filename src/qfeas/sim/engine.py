@@ -44,7 +44,7 @@ block led by the noiseless row, a row joins at its first insertion: just
 after that gate it starts as a copy of the noiseless row, whose every
 operation up to there it shares.  A noise site stores only its gate's
 index, rate and targets; the Pauli gates of an insertion are built the
-first time, in a run, that a site with those targets draws that Pauli.
+first time, in a process, that a site with those targets draws that Pauli.
 
 An observable is ``observe(ideal, state)``, a float from the noiseless
 final state and one trajectory's; its mean and standard error over the
@@ -81,6 +81,7 @@ pure function of (circuit, noise, n_traj, seed).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
@@ -212,25 +213,18 @@ def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
             if (rate := rates[CHANNEL_OF_KIND[gate.kind]]) != 0.0]
 
 
-#: Pauli gates already built in a run, by (targets, pick).
-_Built = dict[tuple[tuple[int, ...], int], tuple[Gate, ...]]
+@functools.cache
+def _pauli_gates(targets: tuple[int, ...], pick: int) -> tuple[Gate, ...]:
+    """The Pauli gates of ``pick`` on ``targets``, built once per process:
+    on 16 qubits at most 3 * 16 one-qubit and 15 * 240 two-qubit entries."""
+    if len(targets) == 2:
+        return tuple(Gate(p, (q,)) for p, q in zip(PAULI_PAIRS[pick], targets) if p != "I")
+    return (Gate(PAULI_1Q[pick], targets),)
 
 
-def _paulis(rng: np.random.Generator, targets: tuple[int, ...],
-            built: _Built) -> tuple[Gate, ...]:
-    """The Pauli gates a firing site inserts: one ``rng.integers`` draw,
-    whose gates are built once and kept in ``built``."""
-    pair = len(targets) == 2
-    pick = int(rng.integers(0, 15 if pair else 3))
-    paulis = built.get((targets, pick))
-    if paulis is None:
-        if pair:
-            paulis = tuple(Gate(p, (q,)) for p, q in zip(PAULI_PAIRS[pick], targets)
-                           if p != "I")
-        else:
-            paulis = (Gate(PAULI_1Q[pick], targets),)
-        built[targets, pick] = paulis
-    return paulis
+def _paulis(rng: np.random.Generator, targets: tuple[int, ...]) -> tuple[Gate, ...]:
+    """The Pauli gates a firing site inserts: one ``rng.integers`` draw."""
+    return _pauli_gates(targets, int(rng.integers(0, 15 if len(targets) == 2 else 3)))
 
 
 def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
@@ -242,8 +236,7 @@ def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
     if not sites:
         return {}
     uniforms = rng.random(len(sites))
-    built: _Built = {}
-    return {index: _paulis(rng, targets, built)
+    return {index: _paulis(rng, targets)
             for u, (index, rate, targets) in zip(uniforms.tolist(), sites) if u < rate}
 
 
@@ -318,17 +311,17 @@ def _philox_keys(first: int, count: int) -> np.ndarray:
     return keys
 
 
-def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
-           clean: np.ndarray) -> Iterator[tuple[int, _Insertions]]:
+def _draws(rng: np.random.Generator, sites: list[_Site], first: int,
+           count: int) -> Iterator[tuple[int, _Insertions]]:
     """Draw the insertions of trajectories 0..count-1, with seeds first,
-    first + 1, ...: set clean[i] for each trajectory i that draws none and
-    yield (i, ``sample_insertions(sites, first + i)``) for the others.
+    first + 1, ..., and yield (i, ``sample_insertions(sites, first + i)``)
+    for each trajectory i that draws at least one; the others yield
+    nothing.
 
     ``rng``, a Philox generator, is put in the state of a fresh
     ``Generator(Philox(first + i))`` before trajectory i: that seed's key,
     counter 0 and an empty output buffer.  Keys are derived for as many
     trajectories at a time as keep them within about one block's bytes.
-    The Pauli gates of each (targets, pick) are built once per call.
     """
     rates = np.array([rate for _, rate, _ in sites], dtype=np.float64)
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
@@ -336,7 +329,6 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
     # a key held as a Python list takes about 170 bytes, so a chunk of
     # keys stays below one block's bytes
     chunk = max(1, _BATCH_BYTES >> 8)
-    built: _Built = {}
     for start in range(0, count, chunk):
         keys = _philox_keys(first + start, min(chunk, count - start)).tolist()
         for i, key in enumerate(keys, start):
@@ -344,10 +336,7 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int, count: int,
             rng.bit_generator.state = state
             fired = (rng.random(len(sites)) < rates).nonzero()[0]
             if fired.size:
-                yield i, {sites[s][0]: _paulis(rng, sites[s][2], built)
-                          for s in fired.tolist()}
-            else:
-                clean[i] = True
+                yield i, {sites[s][0]: _paulis(rng, sites[s][2]) for s in fired.tolist()}
 
 
 def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
@@ -529,11 +518,11 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     return out
 
 
-def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
-            clean: np.ndarray) -> Iterator[tuple[list[int], list[_Insertions]]]:
-    """Draw the trajectories' insertions in order, set clean[i] for each
-    trajectory i that drew none, and yield the others as (trajectories,
-    insertions) blocks of at most ``rows``, ordered by first insertion.
+def _blocks(sites: list[_Site], n_traj: int, seed: int,
+            rows: int) -> Iterator[tuple[list[int], list[_Insertions]]]:
+    """Draw the trajectories' insertions in order and yield those that drew
+    at least one as (trajectories, insertions) blocks of at most ``rows``,
+    ordered by first insertion; a trajectory that drew none is in no block.
     The first block, yielded even when no trajectory drew anything,
     begins with the ideal row; a later block does when it holds more
     than two rows, since below that the ideal row costs more gate-rows
@@ -547,7 +536,7 @@ def _blocks(sites: list[_Site], n_traj: int, seed: int, rows: int,
         noisy.sort(key=lambda entry: min(entry[1]))
         return [i for i, _ in noisy], head + [insertions for _, insertions in noisy]
 
-    for i, insertions in _draws(rng, sites, seed, n_traj, clean):
+    for i, insertions in _draws(rng, sites, seed, n_traj):
         if len(head) + len(noisy) == rows:
             yield block()
             head, noisy = [{}] if rows > 2 else [], []
@@ -576,10 +565,10 @@ def mean_over_trajectories(
     # product inside its vector loop; so those rows run one at a time.
     rows = 1 if n == 1 else max(1, _BATCH_BYTES // (16 << n))
     values = np.empty(n_traj, dtype=np.float64)
-    clean = np.zeros(n_traj, dtype=bool)
+    clean = np.ones(n_traj, dtype=bool)  # the trajectories in no block
     scratch = np.empty(0, dtype=np.complex128)
     ideal = None
-    for owners, block in _blocks(sites, n_traj, seed, rows, clean):
+    for owners, block in _blocks(sites, n_traj, seed, rows):
         if scratch.size < len(block) << n:
             scratch = np.empty(len(block) << n, dtype=np.complex128)
         states = _run_block(circuit, block, scratch)
@@ -587,6 +576,7 @@ def mean_over_trajectories(
             ideal = states[0].copy()
         for r, i in enumerate(owners, start=len(block) - len(owners)):
             values[i] = observe(ideal, states[r])
+        clean[owners] = False
         del states  # free this block before the next one is allocated
     values[clean] = observe(ideal, ideal)
     std_error = float(values.std(ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from . import MAX_QUBITS
+from . import MAX_QUBITS, check_marked
 from .circuit import Circuit
 from .engine import Estimate, NoiseModel, mean_over_trajectories
 from .gates import Gate, cnot, h, rz, x
@@ -56,14 +56,6 @@ def _mcz_gates(n: int) -> tuple[Gate, ...]:
     return tuple(controlled_phase_gates(range(n), math.pi))
 
 
-def _check_marked(n: int, marked: str) -> None:
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
-    if not isinstance(marked, str) or len(marked) != n or set(marked) - {"0", "1"}:
-        raise ValueError(
-            f"marked must be a string of {n} bits, got {marked!r}")
-
-
 def build_grover_circuit(n: int, marked: str, iterations: int) -> Circuit:
     """Standard search circuit: H layer, then per iteration a phase
     oracle on `marked` followed by the diffusion operator.
@@ -73,7 +65,9 @@ def build_grover_circuit(n: int, marked: str, iterations: int) -> Circuit:
     diffusion operator is H X (MCZ) X H on every wire.  Global phases
     are not tracked.
     """
-    _check_marked(n, marked)
+    if not 1 <= n <= MAX_QUBITS:  # before networks of 2^n gates are built
+        raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
+    check_marked(n, marked)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
     mcz = _mcz_gates(n)

@@ -385,6 +385,21 @@ class TestOutputContract:
         assert main(["simulate", write(tmp_path, "t.yaml", text)] + extra) == 1
         assert capsys.readouterr().err.startswith("qfeas: error: Unable to allocate")
 
+    @pytest.mark.parametrize("count, extra", [
+        ("9" * 400, []),
+        ("200", ["--trajectories", "9" * 400]),
+        ("200", ["--trajectories", str(sys.maxsize + 1)]),
+    ], ids=["scenario", "flag", "flag-one-past-the-bound"])
+    def test_trajectory_count_beyond_index_range_names_the_field(self, tmp_path, capsys,
+                                                               count, extra):
+        # numpy's own message for these counts, "Maximum allowed dimension
+        # exceeded", names no field
+        text = SIM_RANDOM.replace("trajectories: 200", f"trajectories: {count}")
+        assert main(["simulate", write(tmp_path, "t.yaml", text)] + extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("qfeas: error: ") and err.count("\n") == 1
+        assert f"trajectories must be an integer in [1, {sys.maxsize}], got " in err
+
 
 class TestEntryPoint:
     def test_estimate_and_presets_load_no_numpy(self, tmp_path):

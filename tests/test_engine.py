@@ -181,7 +181,7 @@ class TestRunBlock:
         gate and the transpose a whole one."""
         circuit = random_circuit(6, 200, 1, 2)  # H, T, RX(pi/2) and CZ
         sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps2=2e-3)))
-        _, block = next(_blocks(sites, 1000, 3, 399, np.zeros(1000, dtype=bool)))
+        _, block = next(_blocks(sites, 1000, 3, 399))
         assert len(block) == 399 >= _WIDE
         block_bytes = 16 * len(block) << circuit.n_qubits
         scratch = np.empty(len(block) << circuit.n_qubits, dtype=np.complex128)

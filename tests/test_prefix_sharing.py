@@ -125,8 +125,7 @@ def test_block_without_ideal_row_runs_every_row_from_the_start():
 def test_blocks_are_ordered_by_first_insertion_and_led_by_the_ideal_row():
     circuit = random_circuit(4, 12, 5)
     sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps1=0.05, eps2=0.1)))
-    clean = np.zeros(40, dtype=bool)
-    blocks = list(_blocks(sites, 40, 9, 5, clean))
+    blocks = list(_blocks(sites, 40, 9, 5))
     assert len(blocks) > 2
     for owners, block in blocks:
         assert len(block) <= 5
@@ -137,7 +136,7 @@ def test_blocks_are_ordered_by_first_insertion_and_led_by_the_ideal_row():
         for i, insertions in zip(owners, block[lead:]):
             assert insertions == sample_insertions(sites, 9 + i)
     owners = sorted(i for owners, _ in blocks for i in owners)
-    assert owners == [i for i in range(40) if not clean[i]]
+    assert owners == [i for i in range(40) if sample_insertions(sites, 9 + i)]
 
 
 @pytest.mark.parametrize("rows", [2, 3, _WIDE])
@@ -147,8 +146,7 @@ def test_later_blocks_match_the_serial_oracle(rows):
     n_traj = 30 if rows < _WIDE else 150
     circuit = random_circuit(4, 10, 3)
     noise = NoiseModel(ErrorBudget(eps0=0.02, eps1=0.03, eps2=0.08))
-    clean = np.zeros(n_traj, dtype=bool)
-    blocks = list(_blocks(noise_sites(circuit, noise), n_traj, 17, rows, clean))
+    blocks = list(_blocks(noise_sites(circuit, noise), n_traj, 17, rows))
     assert len(blocks) > 3
     assert all(len(block) - len(owners) == (rows > 2) for owners, block in blocks[1:])
     assert all(len(block) == rows for _, block in blocks[:-1])
@@ -179,8 +177,7 @@ def test_fifteen_qubits_at_two_rows_per_block_match_the_serial_oracle():
     noise = NoiseModel(ErrorBudget(eps2=0.1))
     rows = max(1, engine._BATCH_BYTES // (16 << 15))
     assert rows == 2
-    clean = np.zeros(6, dtype=bool)
-    assert len(list(_blocks(noise_sites(circuit, noise), 6, 21, rows, clean))) > 2
+    assert len(list(_blocks(noise_sites(circuit, noise), 6, 21, rows))) > 2
     mean, std_error = mean_over_trajectories(
         circuit, noise, 6, 21, lambda ideal, state: _state_hash(state))
     assert (mean.hex(), std_error.hex()) == _serial(circuit, noise, 6, 21)
@@ -235,9 +232,8 @@ def test_noisy_search_matches_the_serial_oracle(n, rows):
     rate = 3.0 / len(circuit.gates)  # about three insertions a trajectory
     noise = NoiseModel(ErrorBudget(eps1=rate, eps2=rate))
     n_traj = 2 * rows + 8
-    clean = np.zeros(n_traj, dtype=bool)
     firsts = [circuit.gates[min(insertions)].kind
-              for _, block in _blocks(noise_sites(circuit, noise), n_traj, 31, rows, clean)
+              for _, block in _blocks(noise_sites(circuit, noise), n_traj, 31, rows)
               for insertions in block if insertions]
     assert {"CNOT", "RZ"} <= set(firsts)
     assert _batched(circuit, noise, n_traj, 31, rows) == _serial(circuit, noise, n_traj, 31)
@@ -281,8 +277,7 @@ def test_rekeyed_generator_gives_a_fresh_generators_stream():
     for s in SEEDS:
         rng.random(3)
         rng.integers(0, 15)  # leaves half of a uint64 in the uint32 buffer
-        clean = np.zeros(1, dtype=bool)
-        assert list(_draws(rng, sites, s, 1, clean)) == [(0, sample_insertions(sites, s))]
+        assert list(_draws(rng, sites, s, 1)) == [(0, sample_insertions(sites, s))]
         fresh = np.random.Generator(np.random.Philox(s))
         fresh.random(2)
         fresh.integers(0, 15)
@@ -302,9 +297,8 @@ def test_rekeyed_draws_match_sample_insertions(base):
     circuit = random_circuit(4, 6, 2)
     sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps0=0.1, eps1=0.2, eps2=0.3)))
     rng = np.random.Generator(np.random.Philox(base))
-    clean = np.zeros(8, dtype=bool)
-    drawn = list(_draws(rng, sites, base, 8, clean))
-    assert not clean.any()
+    assert all(sample_insertions(sites, base + i) for i in range(8))
+    drawn = list(_draws(rng, sites, base, 8))
     assert drawn == [(i, sample_insertions(sites, base + i)) for i in range(8)]
 
 
@@ -333,9 +327,7 @@ def test_blocks_draw_sample_insertions_across_seed_boundaries(base):
     2^128 (the ``SeedSequence`` fallback)."""
     sites = noise_sites(random_circuit(4, 6, 2), NoiseModel(ErrorBudget(eps1=0.03, eps2=0.06)))
     want = [sample_insertions(sites, base + i) for i in range(40)]
-    clean = np.zeros(40, dtype=bool)
-    drawn = {i: insertions for owners, block in _blocks(sites, 40, base, 8, clean)
+    drawn = {i: insertions for owners, block in _blocks(sites, 40, base, 8)
              for i, insertions in zip(owners, block[len(block) - len(owners):])}
-    assert clean.tolist() == [not insertions for insertions in want]
-    assert 0 < clean.sum() < 40
+    assert 0 < len(drawn) < 40
     assert drawn == {i: insertions for i, insertions in enumerate(want) if insertions}

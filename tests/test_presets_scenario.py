@@ -1,6 +1,7 @@
 """Hardware presets and the strict-schema scenario files."""
 
 import dataclasses
+import sys
 
 import pytest
 import yaml
@@ -252,7 +253,7 @@ class TestSimulationSettings:
 
     @pytest.mark.parametrize("changes, message", [
         ({"seed": -1}, "seed must be an integer >= 0, got -1"),
-        ({"trajectories": 0}, "trajectories must be an integer >= 1, got 0"),
+        ({"trajectories": 0}, rf"trajectories must be an integer in \[1, {sys.maxsize}\], got 0"),
         ({"qubits": 1}, r"qubits must be an integer in \[2, 16\], got 1"),
         ({"depths": (5, 0)}, r"depths\[1\] must be an integer >= 1, got 0"),
         ({"pairs_per_layer": 3}, r"pairs_per_layer must be an integer in \[1, 2\]"),
