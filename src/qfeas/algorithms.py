@@ -99,9 +99,6 @@ class AlgorithmSpec:
 class FeasibilityReport:
     """Outcome of costing one algorithm against one hardware profile."""
 
-    algorithm: str
-    size_n: int
-    target_fidelity: float
     two_qubit_count: int | float
     achieved_log_fidelity: float
     required_eps2: float
@@ -173,9 +170,6 @@ def assess(spec: AlgorithmSpec, hw: HardwareProfile) -> FeasibilityReport:
     required = required_error_rate(counts, spec.target_fidelity, "two_qubit")
     gap = hw.budget.eps2 / required
     return FeasibilityReport(
-        algorithm=spec.kind,
-        size_n=spec.size_n,
-        target_fidelity=spec.target_fidelity,
         two_qubit_count=n2,
         achieved_log_fidelity=log_fidelity(hw.budget, counts),
         required_eps2=required,

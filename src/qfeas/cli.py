@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .algorithms import SECONDS_PER_YEAR, FeasibilityReport, assess
-from .engineering import ScalingReport, full_stack_report
+from .algorithms import SECONDS_PER_YEAR, AlgorithmSpec, FeasibilityReport, assess
+from .engineering import full_stack_report
 from .model import CHANNELS, OpCounts
 from .presets import PRESETS
 from .qec import AboveThresholdError, FloorUnreachableError
@@ -49,11 +49,11 @@ if TYPE_CHECKING:
 _EXIT_BY_STATUS = {"feasible": 0, "infeasible": 2, "qec-unreachable": 3}
 
 
-def _feasibility_dict(report: FeasibilityReport) -> dict:
+def _feasibility_dict(spec: AlgorithmSpec, report: FeasibilityReport) -> dict:
     return {
-        "algorithm": report.algorithm,
-        "size": report.size_n,
-        "target_fidelity": report.target_fidelity,
+        "algorithm": spec.kind,
+        "size": spec.size_n,
+        "target_fidelity": spec.target_fidelity,
         "two_qubit_count": report.two_qubit_count,
         "achieved_log_fidelity": report.achieved_log_fidelity,
         "achieved_fidelity": math.exp(report.achieved_log_fidelity),
@@ -65,54 +65,21 @@ def _feasibility_dict(report: FeasibilityReport) -> dict:
     }
 
 
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
-
-
-def _scaling_dict(report: ScalingReport) -> dict:
-    return {
-        "n_logical": report.n_logical,
-        "target_eps_l": report.target_eps_l,
-        "plan": {
-            "n_c": report.plan.n_c,
-            "eps_l": report.plan.eps_l,
-            "n_total": report.plan.n_total,
-            "floor": float(report.plan.floor),
-        },
-        "syndrome_rate": report.syndrome_rate,
-        "decoder_ops": report.decoder_ops,
-        "yield": {
-            "value": report.yield_probability.value,
-            "log_value": _finite_or_none(report.yield_probability.log_value),
-            "underflowed": report.yield_probability.underflowed,
-        },
-        "chip_area_m2": report.chip_area,
-        "fridge_count": report.fridge_count,
-        "wall_power_w": report.wall_power,
-        "wire_count": report.wire_count,
-        "wiring_by_lines": {str(k): v for k, v in report.wiring_by_lines.items()},
-        "runtime_s": report.runtime_seconds,
-        "notes": list(report.notes),
-    }
-
-
 def run_estimate(scenario: Scenario) -> dict:
     """Machine-readable estimate document; ``status`` drives the exit code."""
     feasibility = assess(scenario.algorithm, scenario.hardware)
     doc = {
         "command": "estimate",
         "scenario": scenario_to_dict(scenario),
-        "feasibility": _feasibility_dict(feasibility),
+        "feasibility": _feasibility_dict(scenario.algorithm, feasibility),
         "status": feasibility.verdict,
     }
     try:
-        scaling = full_stack_report(scenario.algorithm, scenario.hardware,
-                                    scenario.qec, scenario.cryo)
+        doc["scaling"] = full_stack_report(scenario.algorithm, scenario.hardware,
+                                           scenario.qec, scenario.cryo)
     except (AboveThresholdError, FloorUnreachableError) as exc:
         doc["qec_error"] = {"type": type(exc).__name__, "message": str(exc)}
         doc["status"] = "qec-unreachable"
-        return doc
-    doc["scaling"] = _scaling_dict(scaling)
     return doc
 
 

@@ -1,6 +1,7 @@
 """Scaling-up arithmetic: syndrome bandwidth, decoding load, yield,
 chip area, cryogenics and wiring, plus the full-stack aggregation that
-chains algorithm costing through code selection into one report.
+chains algorithm costing through code selection into the ``scaling``
+section of the ``qfeas estimate`` document.
 """
 
 from __future__ import annotations
@@ -9,13 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .algorithms import AlgorithmSpec, FeasibilityReport, assess, logical_qubit_count
+from .algorithms import AlgorithmSpec, assess, logical_qubit_count
 from .model import HardwareProfile, LogProbability
 from .qec import (
     AboveThresholdError,
     FloorUnreachableError,
     QecCode,
-    QecPlan,
     error_floor,
     logical_error_rate,
     logical_runtime,
@@ -121,40 +121,20 @@ def wiring_count(n_total: int | float, lines_per_qubit: int = 1) -> int | float:
     return n_total * lines_per_qubit
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    """Every budget for one algorithm/hardware/code/cryo combination.
-
-    ``notes`` holds one human-readable verdict line per budget;
-    ``wiring_by_lines`` gives the line count at 1, 2 and 4 control
-    lines per qubit.
-    """
-
-    feasibility: FeasibilityReport
-    plan: QecPlan
-    n_logical: int
-    target_eps_l: float
-    syndrome_rate: float
-    decoder_ops: float
-    yield_probability: LogProbability
-    chip_area: float
-    fridge_count: int
-    wall_power: float
-    wire_count: int | float
-    wiring_by_lines: dict[int, int | float]
-    runtime_seconds: float
-    notes: tuple[str, ...]
-
-
 def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
-                      cryo: CryoProfile) -> ScalingReport:
-    """Chain algorithm costing, code selection and every hardware budget.
+                      cryo: CryoProfile) -> dict:
+    """Chain algorithm costing, code selection and every hardware budget
+    into the ``scaling`` section of the estimate document.
 
     The per-logical-operation error target is -ln(F*)/N2, i.e. the
     whole computation must succeed with the spec's target fidelity once
-    each of its N2 logical gates fails at most that often.  Raises
-    FloorUnreachableError / AboveThresholdError (with algorithm
-    context) when no code size can meet that target.
+    each of its N2 logical gates fails at most that often.  ``notes``
+    holds one human-readable verdict line per budget;
+    ``wiring_by_lines`` gives the line count at 1, 2 and 4 control
+    lines per qubit, keyed by strings as JSON keys are; ``yield.log_value``
+    is None when it is not finite.  Raises FloorUnreachableError /
+    AboveThresholdError (with algorithm context) when no code size can
+    meet that target.
     """
     feasibility = assess(spec, hw)
     target = feasibility.required_eps2
@@ -166,12 +146,12 @@ def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
             f"per logical operation: {exc}") from exc
     n_logical = logical_qubit_count(spec)
     n_total = physical_resources(n_logical, n_c, code)
-    plan = QecPlan(
-        n_c=n_c,
-        eps_l=logical_error_rate(hw.budget.eps2, code, n_c),
-        n_total=n_total,
-        floor=error_floor(hw.budget.eps2, code),
-    )
+    plan = {
+        "n_c": n_c,
+        "eps_l": logical_error_rate(hw.budget.eps2, code, n_c),
+        "n_total": n_total,
+        "floor": float(error_floor(hw.budget.eps2, code)),
+    }
 
     rate = syndrome_data_rate(n_total, hw.cycle_time)
     decoder = decoder_compute(rate, OPS_PER_BIT)
@@ -179,7 +159,7 @@ def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
     area = chip_area(n_total, hw.area_per_qubit)
     fridges, wall_power = cryo_budget(n_total, hw.dissipation_per_qubit, cryo)
     wires = wiring_count(n_total, LINES_PER_QUBIT)
-    by_lines = {k: wiring_count(n_total, k) for k in WIRING_SENSITIVITY}
+    by_lines = {str(k): wiring_count(n_total, k) for k in WIRING_SENSITIVITY}
     runtime = logical_runtime(feasibility.two_qubit_count, code, hw.cycle_time)
 
     notes = [
@@ -196,26 +176,29 @@ def full_stack_report(spec: AlgorithmSpec, hw: HardwareProfile, code: QecCode,
     ]
     if yield_p.underflowed:
         notes.append("yield underflows: no working chip at any production volume")
-    for k in WIRING_SENSITIVITY:
-        if by_lines[k] > FEASIBLE_LINES_BUDGET:
+    for k, lines in by_lines.items():
+        if lines > FEASIBLE_LINES_BUDGET:
             notes.append(
-                f"wiring at {k} lines/qubit ({by_lines[k]:.4g}) exceeds the "
+                f"wiring at {k} lines/qubit ({lines:.4g}) exceeds the "
                 f"feasible-lines budget ({FEASIBLE_LINES_BUDGET:.4g})")
     notes.append(f"logical runtime: {runtime:.4g} s")
 
-    return ScalingReport(
-        feasibility=feasibility,
-        plan=plan,
-        n_logical=n_logical,
-        target_eps_l=target,
-        syndrome_rate=rate,
-        decoder_ops=decoder,
-        yield_probability=yield_p,
-        chip_area=area,
-        fridge_count=fridges,
-        wall_power=wall_power,
-        wire_count=wires,
-        wiring_by_lines=by_lines,
-        runtime_seconds=runtime,
-        notes=tuple(notes),
-    )
+    return {
+        "n_logical": n_logical,
+        "target_eps_l": target,
+        "plan": plan,
+        "syndrome_rate": rate,
+        "decoder_ops": decoder,
+        "yield": {
+            "value": yield_p.value,
+            "log_value": yield_p.log_value if math.isfinite(yield_p.log_value) else None,
+            "underflowed": yield_p.underflowed,
+        },
+        "chip_area_m2": area,
+        "fridge_count": fridges,
+        "wall_power_w": wall_power,
+        "wire_count": wires,
+        "wiring_by_lines": by_lines,
+        "runtime_s": runtime,
+        "notes": notes,
+    }

@@ -94,16 +94,6 @@ class QecCode:
             raise ValueError("floor_prefactor must be positive")
 
 
-@dataclass(frozen=True)
-class QecPlan:
-    """A chosen encoding: block size, its logical error, total qubits, floor."""
-
-    n_c: int
-    eps_l: float
-    n_total: int | float
-    floor: float
-
-
 class CodeOptimum(NamedTuple):
     n_c: int
     eps_l: float

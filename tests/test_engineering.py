@@ -2,12 +2,13 @@
 stacked report that chains them behind one verdict."""
 
 import dataclasses
+import json
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qfeas import AlgorithmSpec, ErrorBudget
+from qfeas import AlgorithmSpec, ErrorBudget, assess
 from qfeas.engineering import (
     CryoBudget,
     CryoProfile,
@@ -134,15 +135,15 @@ class TestFullStackReport:
     def test_factoring_needs_millions_of_qubits(self):
         report = full_stack_report(
             AlgorithmSpec("shor", 2048), get_preset("sc-2020"), QecCode(), CryoProfile())
-        assert 10**6 <= report.plan.n_total <= 10**10
-        assert 1e12 <= report.decoder_ops <= 1e18
-        assert report.plan.eps_l <= report.target_eps_l * (1 + 1e-9)
-        assert report.n_logical == 4096
+        assert 10**6 <= report["plan"]["n_total"] <= 10**10
+        assert 1e12 <= report["decoder_ops"] <= 1e18
+        assert report["plan"]["eps_l"] <= report["target_eps_l"] * (1 + 1e-9)
+        assert report["n_logical"] == 4096
 
     def test_search_gap_is_astronomic(self):
-        report = full_stack_report(
-            AlgorithmSpec("grover", 100), get_preset("sc-2020"), QecCode(), CryoProfile())
-        assert report.feasibility.gap_factor > 1e13
+        spec, hw = AlgorithmSpec("grover", 100), get_preset("sc-2020")
+        full_stack_report(spec, hw, QecCode(), CryoProfile())
+        assert assess(spec, hw).gap_factor > 1e13
 
     def test_floor_blocks_the_search_target(self):
         code = QecCode(eps_nc=1e-4, nc_max=10**4)
@@ -155,30 +156,46 @@ class TestFullStackReport:
         report = full_stack_report(
             AlgorithmSpec("shor", 2), _clean_hardware(1e-6), QecCode(factory_overhead=1),
             CryoProfile())
-        assert report.plan.n_c == 1
-        assert report.plan.n_total == report.n_logical
+        assert report["plan"]["n_c"] == 1
+        assert report["plan"]["n_total"] == report["n_logical"]
 
     def test_report_is_pure(self):
         args = (AlgorithmSpec("shor", 512), get_preset("sc-2020"), QecCode(), CryoProfile())
         a = full_stack_report(*args)
         b = full_stack_report(*args)
         assert a == b
-        assert a.notes == b.notes
+        assert a["notes"] == b["notes"]
 
     def test_wiring_sensitivity_rows(self):
         report = full_stack_report(
             AlgorithmSpec("shor", 128), get_preset("sc-2020"), QecCode(), CryoProfile())
-        assert set(report.wiring_by_lines) == {1, 2, 4}
-        assert report.wiring_by_lines[4] == 4 * report.wiring_by_lines[1]
-        assert report.wire_count == report.wiring_by_lines[1]
+        by_lines = report["wiring_by_lines"]
+        assert set(by_lines) == {"1", "2", "4"}
+        assert by_lines["4"] == 4 * by_lines["1"]
+        assert report["wire_count"] == by_lines["1"]
 
     def test_notes_flag_wiring_blowout(self):
         report = full_stack_report(
             AlgorithmSpec("shor", 2048), get_preset("sc-2020"), QecCode(), CryoProfile())
-        assert any("lines" in n for n in report.notes)
+        assert any("lines" in n for n in report["notes"])
 
     def test_yield_note_on_underflow(self):
         hw = dataclasses.replace(_clean_hardware(1e-3), yield_p=0.9)
         report = full_stack_report(AlgorithmSpec("shor", 2048), hw, QecCode(), CryoProfile())
-        assert report.yield_probability.underflowed
-        assert any("yield" in n.lower() for n in report.notes)
+        assert report["yield"]["underflowed"]
+        assert any("yield" in n.lower() for n in report["notes"])
+
+    @pytest.mark.parametrize("hw", [
+        get_preset("sc-2020"),
+        dataclasses.replace(_clean_hardware(1e-3), yield_p=0.9),  # the yield underflows
+        dataclasses.replace(get_preset("sc-2020"), yield_p=0.0),  # log yield is -inf
+    ], ids=["sc-2020", "yield-underflow", "zero-yield"])
+    def test_is_the_documents_scaling_section(self, hw):
+        report = full_stack_report(AlgorithmSpec("shor", 2048), hw, QecCode(), CryoProfile())
+        assert set(report) == {
+            "n_logical", "target_eps_l", "plan", "syndrome_rate", "decoder_ops",
+            "yield", "chip_area_m2", "fridge_count", "wall_power_w", "wire_count",
+            "wiring_by_lines", "runtime_s", "notes"}
+        assert set(report["plan"]) == {"n_c", "eps_l", "n_total", "floor"}
+        assert set(report["yield"]) == {"value", "log_value", "underflowed"}
+        json.dumps(report, allow_nan=False)  # strict JSON as it stands
