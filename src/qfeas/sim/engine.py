@@ -352,10 +352,27 @@ def run_ideal(circuit: Circuit) -> QuantumState:
     return run_with_insertions(circuit, {})
 
 
+#: Amplitudes per ``np.vdot`` call in ``state_fidelity``.  OpenBLAS
+#: splits a longer dot product across threads, so its bits depend on the
+#: thread count; chunks of 4,096 were measured to give the same bits at
+#: 1, 2 and 4 threads.
+_VDOT_CHUNK = 4096
+
+
+def _chunked_vdot(a: QuantumState, b: QuantumState) -> complex:
+    """``np.vdot`` summed over consecutive chunks of ``_VDOT_CHUNK``
+    amplitudes, in order."""
+    return sum(np.vdot(a[i:i + _VDOT_CHUNK], b[i:i + _VDOT_CHUNK])
+               for i in range(0, a.size, _VDOT_CHUNK))
+
+
 def state_fidelity(a: QuantumState, b: QuantumState) -> float:
-    """|<a|b>|^2 normalized by both norms; exactly 1.0 for identical states."""
-    overlap = np.vdot(a, b)
-    denom = np.vdot(a, a).real * np.vdot(b, b).real
+    """|<a|b>|^2 normalized by both norms; exactly 1.0 for identical states.
+    Its bits do not depend on the BLAS thread count: up to 12 qubits each
+    dot product is one ``np.vdot`` call, beyond that a chunked sum."""
+    vdot = np.vdot if a.size <= _VDOT_CHUNK else _chunked_vdot
+    overlap = vdot(a, b)
+    denom = vdot(a, a).real * vdot(b, b).real
     return float((overlap.real ** 2 + overlap.imag ** 2) / denom)
 
 

@@ -9,11 +9,16 @@ way every other run does: appended to that circuit and run by
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfeas
 from qfeas.model import CHANNELS, ErrorBudget
 from qfeas.sim.circuit import Circuit, random_circuit
 from qfeas.sim.engine import (
@@ -316,6 +321,33 @@ class TestStateFidelity:
     def test_global_phase_invisible(self):
         st = random_state(2, 7)
         assert state_fidelity(st, np.exp(0.9j) * st) == pytest.approx(1.0, rel=1e-12)
+
+    def test_chunked_overlap_keeps_the_identity_and_the_value(self):
+        # 14 qubits: the overlap is summed over four chunks
+        a, b = random_state(14, 1), random_state(14, 2)
+        assert state_fidelity(a, a) == 1.0
+        whole = abs(np.vdot(a, b)) ** 2 / (np.vdot(a, a).real * np.vdot(b, b).real)
+        assert state_fidelity(a, b) == pytest.approx(whole, rel=1e-9)
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a 15-qubit fidelity in a fresh interpreter per thread count, as
+        # OpenBLAS reads the count once, at load
+        script = (
+            "from qfeas.model import ErrorBudget\n"
+            "from qfeas.sim.circuit import random_circuit\n"
+            "from qfeas.sim.engine import NoiseModel, estimate_fidelity\n"
+            "est = estimate_fidelity(random_circuit(15, 8, 0),\n"
+            "                        NoiseModel(ErrorBudget(eps2=5e-2)), 12, 0)\n"
+            "print(est.mean.hex(), est.std_error.hex())\n")
+        src = str(Path(qfeas.__file__).parents[1])
+        printed = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                    text=True, env=env, timeout=60)
+            assert result.returncode == 0, result.stderr
+            printed.append(result.stdout)
+        assert printed[0] == printed[1]
 
 
 class TestEstimateFidelity:
