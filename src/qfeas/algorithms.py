@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .model import (
     HardwareProfile,
@@ -188,29 +187,3 @@ def grover_sequential_runtime(n_bits: int, gate_time_2q: float) -> float:
     if not gate_time_2q > 0:
         raise ValueError(f"gate_time_2q must be positive, got {gate_time_2q!r}")
     return grover_two_qubit_count(n_bits) * gate_time_2q
-
-
-class Throughput(NamedTuple):
-    bits_per_second: float
-    gap_orders: float
-
-
-def info_throughput(bits_out: float = 20, runtime: float = 3600.0,
-                    reference_bytes_per_s: float = 1e9) -> Throughput:
-    """Useful output rate and its gap to a classical reference machine.
-
-    Returns bits_out/runtime together with
-    log10(reference_rate_in_bits / computed rate); the default
-    reference is a 1 GB/s commodity link.
-    """
-    if not runtime > 0:
-        raise ValueError(f"runtime must be positive, got {runtime!r}")
-    if bits_out < 0:
-        raise ValueError(f"bits_out must be non-negative, got {bits_out!r}")
-    if not reference_bytes_per_s > 0:
-        raise ValueError("reference_bytes_per_s must be positive")
-    rate = bits_out / runtime
-    if rate == 0.0:
-        return Throughput(0.0, math.inf)
-    gap = math.log10(8.0 * reference_bytes_per_s / rate)
-    return Throughput(rate, gap)

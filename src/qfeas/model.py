@@ -212,24 +212,3 @@ def required_error_rate(counts: OpCounts, target_fidelity: float,
             f"{-math.log(target_fidelity):.4g} over {n:.4g} operations, underflows "
             "to 0; use a smaller instance or a lower target_fidelity")
     return rate
-
-
-def idle_error_exponent(n_qubits: int, duration: float, t2: float) -> float:
-    """Decay exponent n*T/T2 for n qubits idling for duration T."""
-    _check_count("n_qubits", n_qubits)
-    _check_count("duration", duration)
-    _check_positive("t2", t2)
-    return n_qubits * duration / t2
-
-
-def quadratic_scaling_exponent(n_qubits: int, profile: HardwareProfile) -> float:
-    """Decay exponent a*n^2 with a = time_per_qubit_layer / t2.
-
-    Models runtime growing linearly with qubit count: n qubits idle for
-    T = tau*n, so the idle exponent n*T/T2 becomes (tau/T2)*n^2.
-    """
-    _check_count("n_qubits", n_qubits)
-    a = profile.time_per_qubit_layer / profile.t2
-    # a * (n*n) keeps the doubling identity exact: (2n)^2 is 4*n^2 in
-    # integers and scaling a float by 4 is exact.
-    return a * (n_qubits * n_qubits)

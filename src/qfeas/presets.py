@@ -39,10 +39,6 @@ PRESETS: dict[str, HardwareProfile] = {
 }
 
 
-def preset_names() -> tuple[str, ...]:
-    return tuple(PRESETS)
-
-
 def get_preset(name: str) -> HardwareProfile:
     try:
         return PRESETS[name]

@@ -17,25 +17,40 @@ either layout as a (lead, 2^n, trail) view, the rows riding in ``lead``
 or in ``trail``.
 
 On n >= 2 qubits a block runs each stretch of CNOT and RZ gates, such
-as a Grover phase network, in a relabelled frame.  One label array per
-qubit holds, at each physical position, that qubit's bit of the logical
-index of the amplitude stored there.  A CNOT then moves no amplitude: it
-XORs its control's labels into its target's.  An RZ gathers its two
-factors by its target's labels into one phase row of 2^n values and
-multiplies every joined row by it, once.  Before any other gate, before
-an insertion or a join, and after the last gate, one gather puts every
-amplitude back at its logical position.
+as a Grover phase network (the Gray-code networks of Welch, Greenbaum,
+Mostame and Aspuru-Guzik, arXiv:1306.3991), as a phase polynomial (Amy,
+Maslov and Mosca, arXiv:1303.2042).  With x the position of an
+amplitude at the start of the stretch, the frame holds, as Python ints,
+each qubit's mask m_q, whose parity with x is that qubit's current bit,
+and its column d_q, the x whose current index has qubit q's bit alone
+(column q of the inverse map).  A CNOT(c, t) moves no amplitude: it does
+m_t ^= m_c and d_c ^= d_t.  An RZ(theta) on q adds -theta/2 to the
+coefficient of m_q in a dict.  The frame is flushed only where the
+circuit puts it, before any other gate and after the last: each
+distinct dict's phases, sum over m of c[m] * (-1)^parity(m & x), come
+from one Walsh-Hadamard transform of it, then ``exp(1j * angle)`` and
+one multiply of its rows, and one gather moves the amplitude at x to
+the index whose bit q is parity(m_q & x).  Parities are XORs over mask
+bits, so no popcount is needed.
 
-Every row has the bits of the gate-by-gate oracle the tests hold it
-against, ``serial_run`` in ``tests/gate_oracle.py``: it runs one
-register alone, moves the amplitudes of a CNOT by an exact index
-permutation and sends every other gate through ``_apply_inplace``.
-Every amplitude sees the same operations in the same order, a CNOT is an
-exact move, and numpy rounds a complex product by a scalar and by an
-array element of that value alike, in passes of two amplitudes or more.
-It rounds a product on a single amplitude by another loop, and on one
-qubit a pass holds one amplitude; so 1-qubit trajectories run one row
-per block, gate by gate.
+An insertion or a join inside a stretch acts in the frame, on its own
+row: Z negates the amplitudes where parity(m_q & x) is odd; X moves the
+amplitude at x to x ^ d_q, and the row takes its own copy of the dict
+with every coefficient whose mask has an odd overlap with d_q negated;
+Y is i X Z.  A joining row is a copy of row 0's unflushed amplitudes
+and shares row 0's dict.  These steps are exact, and every rounded step
+runs at the same points on the same values whatever block a row is in,
+so a row's bits do not depend on the other rows of its block.
+
+Every row has the bits of the oracle the tests hold it against,
+``serial_run`` in ``tests/gate_oracle.py``: it runs one register alone,
+applies each stretch by the same definition and sends every other gate
+through ``_apply_inplace``.  Every amplitude sees the same operations
+in the same order, and numpy rounds a complex product by a scalar and
+by an array element of that value alike, in passes of two amplitudes or
+more.  It rounds a product on a single amplitude by another loop, and
+on one qubit a pass holds one amplitude; so 1-qubit trajectories run
+one row per block, gate by gate.
 
 Noisy trajectories run as the rows of such blocks, each block capped at
 ``_BATCH_BYTES``.  Every gate is applied once to the rows that have
@@ -181,7 +196,7 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -
     2^n, trail) view of a block's joined rows or of one row (see the
     module docstring), with ``scratch`` of at least state.size amplitudes
     for ``_one_qubit``.  A CNOT never reaches the kernel: blocks on
-    n >= 2 qubits relabel it."""
+    n >= 2 qubits run it in a ``_Frame``."""
     kind = gate.kind
     if kind == "IDLE":
         return
@@ -388,59 +403,110 @@ _BATCH_BYTES = 1 << 20
 _WIDE = 16
 
 
-class _Relabelling:
-    """The frame of a stretch of CNOT and RZ gates on n >= 2 qubits (see
-    the module docstring): ``labels[q][p]``, a uint8, is qubit q's bit of
-    the logical index of the amplitude at physical position p.  A CNOT
-    moves no amplitude, an RZ multiplies the joined rows once by a phase
-    row gathered by its target's labels, and ``flush`` moves every
-    amplitude to its logical position.  A label is one byte, so the
-    labels of a 16-qubit block take 1 MiB."""
+def _xor_span(values: list[int]) -> np.ndarray:
+    """a[x] = the XOR of values[p] over the set bits p of x (bit 0 the
+    lowest), for every x below 2^len(values), as an intp array: n XOR
+    passes that double the array, no parity counts."""
+    a = np.zeros(1 << len(values), dtype=np.intp)
+    for p, value in enumerate(values):
+        np.bitwise_xor(a[:1 << p], value, out=a[1 << p:2 << p])
+    return a
+
+
+class _Frame:
+    """The phase-polynomial frame of a stretch of CNOT and RZ gates on
+    n >= 2 qubits, for one block (see the module docstring).  With x the
+    position of an amplitude at the start of the stretch, qubit q's bit
+    of its logical index is parity(masks[q] & x), and columns[q] is the x
+    whose logical index has qubit q's bit alone.  A row's pending phase
+    at x is the sum over m of c[m] * (-1)^parity(m & x), with c the
+    ``shared`` coefficients or, once an X acted on the row inside the
+    stretch, the row's ``own``.  Masks and columns are Python ints, qubit
+    0 the high bit."""
 
     def __init__(self, n: int) -> None:
-        self.positions = np.arange(1 << n, dtype=np.intp)
-        self.labels = list(np.empty((n, 1 << n), dtype=np.uint8))  # a row per qubit
-        self.phase = np.empty((1 << n, 1), dtype=np.complex128)
-        self.factors: dict[tuple[float, float], np.ndarray] = {}
+        self.n = n
+        self.unit = [1 << (n - 1 - q) for q in range(n)]
         self.reset()
 
     def reset(self) -> None:
-        """Label every amplitude by its own position."""
-        n = len(self.labels)
-        for q, label in enumerate(self.labels):
-            np.not_equal(self.positions & (1 << (n - 1 - q)), 0, out=label)
-        self.moved = False
+        """Start a stretch: the identity map and no phase."""
+        self.masks = self.unit.copy()
+        self.columns = self.unit.copy()
+        self.shared: dict[int, float] = {}
+        self.own: dict[int, dict[int, float]] = {}
+        self.coefficients = [self.shared]  # shared, then every row's own
+        self.pending = False
 
     def cnot(self, control: int, target: int) -> None:
-        self.labels[target] ^= self.labels[control]
-        self.moved = True
+        self.masks[target] ^= self.masks[control]
+        self.columns[control] ^= self.columns[target]
+        self.pending = True
 
-    def rz(self, view: np.ndarray, q: int, theta: float) -> None:
-        """RZ(theta) on qubit q of ``view``, a (lead, 2^n, trail) view."""
-        # 0.0 and -0.0 are one dict key, but their factors' zero imaginary
-        # parts differ in sign, and so can the products
-        key = theta, math.copysign(1.0, theta)
-        factors = self.factors.get(key)
-        if factors is None:
-            factors = self.factors[key] = np.array(_rz_phases(theta))
-        factors.take(self.labels[q], out=self.phase[:, 0], mode="clip")
-        view *= self.phase
+    def rz(self, q: int, theta: float) -> None:
+        mask, half = self.masks[q], theta / 2.0
+        for c in self.coefficients:
+            c[mask] = c.get(mask, 0.0) - half
+        self.pending = True
 
-    def flush(self, states: np.ndarray, axis: int, scratch: np.ndarray) -> None:
-        """Move the amplitudes of ``states`` along ``axis`` (its 2^n axis)
-        to their logical positions, by one gather into ``scratch`` and a
-        copy back, and reset the labels."""
-        if not self.moved:
-            return
-        logical = np.zeros_like(self.positions)  # qubit 0 is the high bit
-        for label in self.labels:
-            logical <<= 1
-            logical |= label
-        source = np.empty_like(self.positions)
-        source[logical] = self.positions
-        moved = scratch[:states.size].reshape(states.shape)
-        np.take(states, source, axis=axis, out=moved, mode="clip")
-        np.copyto(states, moved)
+    def pauli(self, grid: np.ndarray, r: int, gate: Gate, scratch: np.ndarray) -> None:
+        """An X, Y or Z on row r, ``grid[r]`` its 2^n amplitudes, inside
+        the stretch (see the module docstring)."""
+        q, kind, row = gate.targets[0], gate.kind, grid[r]
+        if kind != "X":
+            odd = _xor_span([self.masks[q] >> p & 1 for p in range(self.n)])
+            np.negative(row, out=row, where=odd.astype(bool))
+        if kind != "Z":
+            column = self.columns[q]
+            moved = scratch[:row.size]
+            np.take(row, np.arange(row.size) ^ column, out=moved, mode="clip")
+            row[:] = moved
+            c = self.own.get(r, self.shared)
+            self.own[r] = {m: -v if (m & column).bit_count() & 1 else v
+                           for m, v in c.items()}
+            self.coefficients = [self.shared, *self.own.values()]
+        if kind == "Y":
+            row *= 1j
+
+    def _phases(self, c: dict[int, float]) -> np.ndarray:
+        """exp(1j * angle) as a 2^n column, angle[x] the sum over m of
+        c[m] * (-1)^parity(m & x): one Walsh-Hadamard transform, its
+        butterflies taken from the lowest bit up."""
+        angle = np.zeros(1 << self.n)
+        angle[list(c)] = list(c.values())
+        other = np.empty_like(angle)
+        for p in range(self.n):
+            a, b = angle.reshape(-1, 2, 1 << p), other.reshape(-1, 2, 1 << p)
+            np.add(a[:, 0], a[:, 1], out=b[:, 0])
+            np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+            angle, other = other, angle
+        return np.exp(1j * angle)[:, None]
+
+    def flush(self, view: np.ndarray, grid: np.ndarray, scratch: np.ndarray) -> None:
+        """End the stretch on the joined rows, ``view`` as a (lead, 2^n,
+        trail) view and ``grid[r]`` row r: multiply each row by its
+        coefficients' phases, then gather the amplitude at x to its
+        logical index, and start a new stretch."""
+        if self.shared:
+            phase = self._phases(self.shared)
+            if not self.own:
+                view *= phase
+            else:
+                # row by row through a contiguous copy, as a one-row run
+                # multiplies, whatever the layout's stride
+                row = scratch[:1 << self.n]
+                for r in range(view.size >> self.n):
+                    c = self.own.get(r)
+                    np.copyto(row, grid[r])
+                    row *= (phase if c is None else self._phases(c))[:, 0]
+                    grid[r] = row
+        if self.columns != self.unit:
+            # the amplitude for logical index y sits at the XOR of the
+            # columns of y's set bits
+            source = _xor_span(self.columns[::-1])
+            moved = scratch[:view.size].reshape(view.shape)
+            np.take(view, source, axis=1, out=moved, mode="clip")
+            np.copyto(view, moved)
         self.reset()
 
 
@@ -466,22 +532,20 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     up to there a row sees exactly the ideal run's operations.  Otherwise
     every row runs from |0...0>.
 
-    On n >= 2 qubits each stretch of CNOT and RZ gates runs relabelled
-    (``_Relabelling``): a CNOT only XORs label arrays, and an RZ
-    multiplies the joined rows by one phase row that holds, at each
-    position, the factor of the amplitude stored there.  Before any other
-    gate, before an insertion (a row joins only at a gate it has an
-    insertion after), and after the last gate, one gather over the whole
-    block, unjoined rows of zeros included, puts every amplitude back in
-    place.  A one-qubit RZ pass holds one amplitude, so one-qubit blocks
-    run gate by gate (see the module docstring).
+    On n >= 2 qubits each stretch of CNOT and RZ gates runs in a
+    ``_Frame``, flushed before any other gate and after the last one:
+    where the circuit puts it, whatever rows the block holds.  An
+    insertion or a join inside a stretch acts in the frame, on the
+    amplitudes not yet flushed; an insertion where no stretch is pending
+    goes through ``_apply_inplace``.  A one-qubit RZ pass holds one
+    amplitude, so one-qubit blocks run gate by gate (see the module
+    docstring).
     """
     n = circuit.n_qubits
     wide = len(block) >= _WIDE
     states = np.zeros((1 << n, len(block)) if wide else (len(block), 1 << n),
                       dtype=np.complex128)
     grid = states.T if wide else states  # grid[r] is row r's amplitudes
-    axis = 0 if wide else 1  # the axis of states that holds the 2^n amplitudes
 
     def head(active: int) -> np.ndarray:
         """The joined rows as a (lead, 2^n, trail) view."""
@@ -498,36 +562,33 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     for r, insertions in enumerate(block):
         for index, paulis in insertions.items():
             after.setdefault(index, []).append((r, paulis))
-    relabelled = ("CNOT", "RZ") if n >= 2 else ()
-    frame = None
+    frame = _Frame(n) if n >= 2 else None
     view = head(active)
     for g, gate in enumerate(circuit.gates):
         kind = gate.kind
-        if kind in relabelled:
-            if frame is None:
-                frame = _Relabelling(n)
-            if kind == "CNOT":
-                frame.cnot(*gate.targets)
-            else:
-                frame.rz(view, gate.targets[0], gate.theta)
+        if kind == "CNOT":
+            frame.cnot(*gate.targets)
+        elif kind == "RZ" and frame is not None:
+            frame.rz(gate.targets[0], gate.theta)
         else:
-            if frame is not None:
-                frame.flush(states, axis, scratch)
+            if frame is not None and frame.pending:
+                frame.flush(view, grid, scratch)
             _apply_inplace(view, gate, n, scratch)
         inserted = after.get(g)
         if inserted is None:
             continue
-        if frame is not None:
-            frame.flush(states, axis, scratch)
         if g in joined:
             grid[active:joined[g]] = grid[0]
             active = joined[g]
             view = head(active)
         for r, paulis in inserted:
             for pauli in paulis:
-                _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
-    if frame is not None:
-        frame.flush(states, axis, scratch)
+                if frame is not None and frame.pending:
+                    frame.pauli(grid, r, pauli, scratch)
+                else:
+                    _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
+    if frame is not None and frame.pending:
+        frame.flush(view, grid, scratch)
     if not wide:
         return states
     out = scratch[:states.size].reshape(grid.shape)

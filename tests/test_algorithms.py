@@ -13,7 +13,6 @@ from qfeas.algorithms import (
     chemistry_two_qubit_count,
     grover_sequential_runtime,
     grover_two_qubit_count,
-    info_throughput,
     logical_qubit_count,
     shor_two_qubit_count,
     two_qubit_count,
@@ -126,18 +125,3 @@ class TestRuntime:
     def test_faster_gates_scale_linearly(self):
         assert grover_sequential_runtime(40, 1e-9) == pytest.approx(
             grover_sequential_runtime(40, 1e-6) / 1000.0, rel=1e-12)
-
-
-class TestInfoThroughput:
-    def test_default_hour_long_factoring_run(self):
-        t = info_throughput()
-        assert t.bits_per_second == pytest.approx(20 / 3600.0, rel=1e-12)
-        assert t.gap_orders == pytest.approx(12.16, abs=0.01)
-
-    def test_gap_closes_at_classical_rate(self):
-        t = info_throughput(bits_out=8e9, runtime=1.0, reference_bytes_per_s=1e9)
-        assert t.gap_orders == 0.0
-
-    def test_rejects_nonpositive_runtime(self):
-        with pytest.raises(ValueError):
-            info_throughput(runtime=0.0)

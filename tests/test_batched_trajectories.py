@@ -66,8 +66,8 @@ PHASES_ON_QUBIT_0 = Circuit(2, (
     Gate("H", (0,)), Gate("H", (1,)), Gate("RX", (0,), 0.9), Gate("T", (0,)),
     Gate("CZ", (0, 1)), Gate("RZ", (0,), -0.6), Gate("T", (0,))))
 
-# A four-wire phase network (15 RZ and 14 CNOT), which a block runs in a
-# relabelled frame, between layers that leave every amplitude generic.
+# A four-wire phase network (15 RZ and 14 CNOT), which a block runs as a
+# phase polynomial, between layers that leave every amplitude generic.
 PHASE_NETWORK = Circuit(4, (
     *(Gate("RX", (q,), 0.3 + 0.4 * q) for q in range(4)),
     *controlled_phase_gates(range(4), math.pi),

@@ -51,8 +51,9 @@ from qfeas.sim.gates import (
     y,
     z,
 )
+from qfeas.sim.grover import controlled_phase_gates
 
-from gate_oracle import cnot_source, gate_matrix, serial_run
+from gate_oracle import cnot_source, dense_run, gate_matrix, serial_run
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -153,13 +154,20 @@ class TestApplyGate:
         """numpy rounds a complex product on one amplitude differently
         from the same product in a longer loop, so however the kernel
         splits its passes, T and RZ must give the bits of one numpy pass
-        over all the amplitudes they scale."""
+        over all the amplitudes they scale.  From two qubits on, the RZ
+        is a stretch of its own (the IDLE ends the one ``prep`` ends
+        with), whose flush turns its one coefficient, -theta/2, into the
+        factors exp(1j * -theta/2) and exp(1j * theta/2) by numpy's
+        ``exp``."""
         for q in range(n):
-            prep = prepared(n, 7 * n + q)
+            prep = prepared(n, 7 * n + q) + (idle(q),)
             for gate in (t(q), rz(q, 0.37)):
                 want = run_ideal(Circuit(n, prep))
                 pairs = want.reshape(-1, 2, 1 << (n - q - 1))
                 phases = np.diag(gate_matrix(gate))
+                if gate.kind == "RZ" and n >= 2:
+                    half = gate.theta / 2.0
+                    phases = np.exp(1j * np.array([-half, half]))
                 if gate.kind == "RZ":
                     pairs[:, 0] *= phases[0]
                 pairs[:, 1] *= phases[1]
@@ -215,6 +223,48 @@ class TestRunBlock:
         assert states.shape == (4, 1 << n)
         for row, insertions in zip(states, block):
             assert row.tobytes() == serial_run(circuit, insertions).tobytes()
+
+
+class TestStretch:
+    """Stretches of CNOT and RZ gates, which a block runs as a phase
+    polynomial, against ``dense_run``'s product of ``gate_matrix``
+    unitaries, to within rounding: X, Y and Z inserted in the middle of a
+    stretch, rows that join there, and both block layouts."""
+
+    @staticmethod
+    def _rows(circuit, start, count):
+        """``count`` rows with insertions inside the stretches from gate
+        ``start`` on, cycling over X, Y and Z on every qubit: a first one
+        and, in some rows, a second at a CNOT or RZ a few gates later."""
+        inside = [g for g, gate in enumerate(circuit.gates)
+                  if g >= start and gate.kind in ("CNOT", "RZ")]
+        rows = []
+        for k in range(count):
+            first = inside[(5 * k + 2) % len(inside)]
+            insertions = {first: (Gate("XYZ"[k % 3], (k % circuit.n_qubits,)),)}
+            later = first + 1 + k % 4
+            if later in inside:
+                insertions[later] = (Gate("ZXY"[k % 3], (0,)), Gate("Y", (circuit.n_qubits - 1,)))
+            rows.append(insertions)
+        return rows
+
+    @pytest.mark.parametrize("width", [4, _WIDE])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_stretch_matches_the_dense_product(self, n, width):
+        # prep ends inside a stretch (RZ, then a CNOT chain) that the first
+        # network continues; H ends it, and the second network ends the circuit
+        prep = prepared(n, 50 + n)
+        network = tuple(controlled_phase_gates(range(n), 1.1))
+        circuit = Circuit(n, prep + network + (h(n - 1),) + network)
+        rows = self._rows(circuit, len(prep) - n, width - 1)
+        kinds = {pauli.kind for insertions in rows for paulis in insertions.values()
+                 for pauli in paulis}
+        assert kinds == {"X", "Y", "Z"}
+        for block in ([{}] + sorted(rows, key=min), rows + [{}]):
+            scratch = np.empty(len(block) << n, dtype=np.complex128)
+            states = _run_block(circuit, block, scratch)
+            for row, insertions in zip(states, block):
+                assert np.allclose(row, dense_run(circuit, insertions), rtol=0.0, atol=1e-12)
 
 
 class TestSerialOracle:

@@ -12,12 +12,9 @@ from qfeas.model import (
     OpCounts,
     ZeroCountError,
     fidelity,
-    idle_error_exponent,
     log_fidelity,
-    quadratic_scaling_exponent,
     required_error_rate,
 )
-from qfeas.presets import get_preset
 
 
 class TestErrorBudget:
@@ -151,26 +148,3 @@ class TestRequiredErrorRate:
             return  # nothing to check, the budget cannot hold the rate
         achieved = fidelity(ErrorBudget(eps2=rate), OpCounts(n2=n2))
         assert achieved.value == pytest.approx(target, rel=1e-12)
-
-
-class TestTimeExponents:
-    def test_idle_exponent_is_n_t_over_t2(self):
-        assert idle_error_exponent(100, 1e-3, 1e-4) == pytest.approx(1000.0)
-
-    def test_quadratic_doubling_is_exactly_four_fold(self):
-        hw = get_preset("sc-2020")
-        small = quadratic_scaling_exponent(1000, hw)
-        big = quadratic_scaling_exponent(2000, hw)
-        assert big == 4.0 * small  # power of two scaling keeps this exact
-
-    @given(st.integers(min_value=1, max_value=10**5))
-    def test_quadratic_doubling_property(self, n):
-        hw = get_preset("sc-2014")
-        assert quadratic_scaling_exponent(2 * n, hw) == 4.0 * quadratic_scaling_exponent(n, hw)
-
-    def test_zero_qubits_idle_for_free(self):
-        assert idle_error_exponent(0, 1.0, 1.0) == 0.0
-
-    def test_t2_must_be_positive(self):
-        with pytest.raises(ValueError):
-            idle_error_exponent(10, 1.0, 0.0)

@@ -11,10 +11,11 @@ trajectory's key is set into; it must give the stream of a fresh
 ``Generator(Philox(seed))``.  ``_philox_keys`` derives those keys for
 many seeds at once and must agree with numpy's ``SeedSequence``.
 
-On two qubits or more a block runs each stretch of CNOT and RZ gates in
-a relabelled frame and puts the amplitudes back in place before a join,
-an insertion, another gate and the end; Grover's phase networks are such
-stretches, and the rows must still match the oracle there.
+On two qubits or more a block runs each stretch of CNOT and RZ gates as
+a phase polynomial, flushed only before another gate and at the end;
+joins and insertions inside a stretch act in its frame.  Grover's phase
+networks are such stretches, and the rows must still match the oracle
+there, and have the same bits in any block.
 """
 
 import hashlib
@@ -37,6 +38,7 @@ from qfeas.sim.engine import (
     _run_block,
     mean_over_trajectories,
     noise_sites,
+    run_with_insertions,
     sample_insertions,
 )
 from qfeas.sim.gates import Gate
@@ -213,7 +215,7 @@ def _network_rows(circuit, count):
 @pytest.mark.parametrize("width", NETWORK_WIDTHS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_phase_network_blocks_match_the_serial_oracle(n, width):
-    """Rows join and take insertions at CNOT and RZ gates of a relabelled
+    """Rows join and take insertions at CNOT and RZ gates inside a
     stretch, in blocks led by the ideal row and in blocks without it; the
     second circuit ends inside its first phase network, just after the
     RZ that follows its first CNOT."""
@@ -252,14 +254,44 @@ def test_rz_on_qubit_n_minus_2_of_two():
 
 
 def test_rz_by_zero_and_minus_zero_keep_their_own_factors():
-    """RZ(0.0) and RZ(-0.0) multiply by 1 - 0j and 1 + 0j, whose products
-    can differ in the sign of a zero imaginary part."""
+    """RZ(0.0) and RZ(-0.0) add a signed zero to a coefficient, on
+    amplitudes that a Y left with signed zeros; rows with insertions
+    inside such a stretch still match the oracle."""
     y0, y1 = Gate("Y", (0,)), Gate("Y", (1,))
     for prefix, first, second in (((y0,), 0.0, -0.0), ((y0, y1), -0.0, 0.0)):
         circuit = Circuit(2, (*prefix, Gate("RZ", (0,), first), Gate("RZ", (1,), second)))
         for width in (1, _WIDE):
             rows = sorted(_network_rows(circuit, width - 1), key=min)
             _assert_rows_match_oracle(circuit, [{}] + rows)
+
+
+def test_a_search_row_has_the_same_bits_in_any_block():
+    """One noisy search trajectory, run alone, as a row of a 4-row
+    row-major block and as a row of a 16-row block stored rows
+    innermost, gives the same bits: a stretch is flushed only where the
+    circuit puts it, so no other row of a block moves its rounding."""
+    marked = "10110101"
+    circuit = build_grover_circuit(8, marked, 3)
+    sites = noise_sites(circuit, NoiseModel(ErrorBudget(eps2=2e-3)))
+    noisy = [ins for ins in (sample_insertions(sites, s) for s in range(40)) if ins][:_WIDE - 1]
+    assert len(noisy) == _WIDE - 1
+    # a trajectory that joins its blocks after another row, with an X or a
+    # Y, which moves amplitudes inside a stretch
+    ordered = sorted(noisy, key=min)
+    trajectory = next(ins for ins in ordered[2:-1]
+                      if any(p.kind != "Z" for paulis in ins.values() for p in paulis))
+    narrow = [{}] + sorted([ordered[0], trajectory, ordered[-1]], key=min)
+    wide = [{}] + ordered
+    index = int(marked, 2)
+
+    def probability(state):
+        return float(state[index].real ** 2 + state[index].imag ** 2).hex()
+
+    runs = [run_with_insertions(circuit, trajectory),
+            _run(circuit, narrow)[narrow.index(trajectory)],
+            _run(circuit, wide)[wide.index(trajectory)]]
+    assert len({probability(state) for state in runs}) == 1
+    assert len({state.tobytes() for state in runs}) == 1
 
 
 def _same_state(a, b):

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from qfeas import ErrorBudget
-from qfeas.presets import PRESETS, get_preset, preset_names
+from qfeas.presets import PRESETS, get_preset
 from qfeas.scenario import (
     Scenario,
     ScenarioParseError,
@@ -26,7 +26,7 @@ algorithm: {kind: shor, size: 2048}
 
 class TestPresets:
     def test_catalogue(self):
-        assert preset_names() == ("sc-2009", "sc-2014", "sc-2020", "best-2023")
+        assert tuple(PRESETS) == ("sc-2009", "sc-2014", "sc-2020", "best-2023")
 
     def test_error_rates_improve_over_time(self):
         eps2 = [get_preset(n).budget.eps2 for n in ("sc-2009", "sc-2014", "sc-2020")]
@@ -313,7 +313,7 @@ simulation:
         assert "depths" not in echo and "fit" not in echo
         assert parse_scenario(yaml.safe_dump(scenario_to_dict(s))) == s
 
-    @pytest.mark.parametrize("name", preset_names())
+    @pytest.mark.parametrize("name", tuple(PRESETS))
     def test_explicit_preset_hardware_round_trip(self, name):
         text = yaml.safe_dump({"hardware": hardware_to_dict(PRESETS[name]),
                                "algorithm": {"kind": "shor", "size": 16}})

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qfeas.cli import main
 from qfeas.model import CHANNELS, ErrorBudget
-from qfeas.presets import PRESETS, preset_names
+from qfeas.presets import PRESETS
 from qfeas.scenario import ScenarioParseError, parse_scenario
 from qfeas.sim import MAX_QUBITS, optimal_iterations
 
@@ -104,7 +104,7 @@ def section(draw, values):
 
 @st.composite
 def hardware_sections(draw):
-    preset = draw(st.sampled_from(preset_names() + ("sc-1999",)))
+    preset = draw(st.sampled_from(tuple(PRESETS) + ("sc-1999",)))
     if draw(st.booleans()):
         return preset
     return {"preset": preset, **draw(section(HARDWARE))}
@@ -162,7 +162,7 @@ def one_fault_scenarios(draw, name, key):
     sections = {**VALID, "simulation": {k: values[k] for k in SIM_KEYS_BY_KIND[kind]}}
     doc = {section: draw(st.fixed_dictionaries({}, optional=section_values))
            for section, section_values in sections.items()}
-    doc["hardware"]["preset"] = draw(st.sampled_from(preset_names()))
+    doc["hardware"]["preset"] = draw(st.sampled_from(tuple(PRESETS)))
     doc["algorithm"] = {"kind": "shor", "size": 2048, **doc["algorithm"]}
     doc["qec"].setdefault("nc_max", draw(QEC["nc_max"]))
     doc["simulation"].update(kind=kind, qubits=draw(values["qubits"]),

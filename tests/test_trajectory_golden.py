@@ -37,11 +37,11 @@ def test_decay_benchmark_shape_bits():
 
 @pytest.mark.parametrize("n, marked, iterations, budget, n_traj, seed, probability, std_error", [
     (4, "1011", 3, ErrorBudget(eps1=0.002, eps2=0.005), 30, 2,
-     "0x1.1eba8d50ca7c0p-1", "0x1.407b8333ffc69p-4"),
+     "0x1.1eba8d50ca7d4p-1", "0x1.407b8333ffc80p-4"),
     (5, "11111", 4, ErrorBudget(eps0=0.001, eps2=0.002), 20, 11,
-     "0x1.345469cb4249bp-1", "0x1.bf241b4f83e38p-4"),
-    (4, "0110", 3, ErrorBudget(), 30, 2, "0x1.ec31ffffffff6p-1", "0x0.0p+0"),
-    (5, "10101", 4, ErrorBudget(), 20, 11, "0x1.ff94d310000eep-1", "0x0.0p+0"),
+     "0x1.345469cb4242dp-1", "0x1.bf241b4f83d99p-4"),
+    (4, "0110", 3, ErrorBudget(), 30, 2, "0x1.ec3200000001ap-1", "0x0.0p+0"),
+    (5, "10101", 4, ErrorBudget(), 20, 11, "0x1.ff94d31000038p-1", "0x0.0p+0"),
 ])
 def test_grover_success_probability_bits(n, marked, iterations, budget, n_traj, seed,
                                          probability, std_error):
