@@ -16,31 +16,44 @@ Its kernel, ``_apply_inplace``, applies a one-qubit gate or a CZ to
 either layout as a (lead, 2^n, trail) view, the rows riding in ``lead``
 or in ``trail``.
 
-On n >= 2 qubits a block runs each stretch of CNOT and RZ gates, such
-as a Grover phase network (the Gray-code networks of Welch, Greenbaum,
-Mostame and Aspuru-Guzik, arXiv:1306.3991), as a phase polynomial (Amy,
-Maslov and Mosca, arXiv:1303.2042).  With x the position of an
-amplitude at the start of the stretch, the frame holds, as Python ints,
-each qubit's mask m_q, whose parity with x is that qubit's current bit,
-and its column d_q, the x whose current index has qubit q's bit alone
-(column q of the inverse map).  A CNOT(c, t) moves no amplitude: it does
-m_t ^= m_c and d_c ^= d_t.  An RZ(theta) on q adds -theta/2 to the
-coefficient of m_q in a dict.  The frame is flushed only where the
-circuit puts it, before any other gate and after the last: each
-distinct dict's phases, sum over m of c[m] * (-1)^parity(m & x), come
-from one Walsh-Hadamard transform of it, then ``exp(1j * angle)`` and
-one multiply of its rows, and one gather moves the amplitude at x to
-the index whose bit q is parity(m_q & x).  Parities are XORs over mask
+Each circuit is compiled once into a plan (``_Plan``), a list of
+steps: a kernel gate, or on n >= 2 qubits a whole stretch of CNOT and
+RZ gates, such as a Grover phase network (the Gray-code networks of
+Welch, Greenbaum, Mostame and Aspuru-Guzik, arXiv:1306.3991), which runs
+as a phase polynomial (Amy, Maslov and Mosca, arXiv:1303.2042).  The
+plan is built without a Python loop over the gates: one pass numbers the
+distinct Gate objects, and numpy arrays of their kinds give each gate's
+noise channel and the stretch edges.  With x the position of an
+amplitude at the start of the stretch, a frame (``_Frame``) holds, as
+Python ints, each qubit's mask m_q, whose parity with x is that qubit's
+current bit, and its column d_q, the x whose current index has qubit q's
+bit alone (column q of the inverse map).  A CNOT(c, t) moves no
+amplitude: it does m_t ^= m_c and d_c ^= d_t.  An RZ(theta) on q adds
+-theta/2 to the coefficient of m_q in a dict.  A stretch is flushed
+only where the circuit puts it, after its last gate: each distinct
+dict's phases, sum over m of c[m] * (-1)^parity(m & x), come from one
+Walsh-Hadamard transform of it, then ``exp(1j * angle)`` and one
+multiply of its rows, and one gather moves the amplitude at x to the
+index whose bit q is parity(m_q & x).  Parities are XORs over mask
 bits, so no popcount is needed.
 
-An insertion or a join inside a stretch acts in the frame, on its own
-row: Z negates the amplitudes where parity(m_q & x) is odd; X moves the
-amplitude at x to x ^ d_q, and the row takes its own copy of the dict
-with every coefficient whose mask has an odd overlap with d_q negated;
-Y is i X Z.  A joining row is a copy of row 0's unflushed amplitudes
-and shares row 0's dict.  These steps are exact, and every rounded step
-runs at the same points on the same values whatever block a row is in,
-so a row's bits do not depend on the other rows of its block.
+Stretches of the same Gate objects, in the same order, share one
+``_Stretch``: its gates are walked in a frame once per plan, and the
+masks and coefficients of the dict and the columns are kept, O(gates)
+in all.  Where no row takes an insertion or joins inside a stretch, the
+block applies that stretch's flush, whose phase column and gather
+source are computed at the step and kept only while the next such
+stretch is the same one: the same arrays, so the same bits, as a walk
+of its gates.  A stretch that holds an insertion or a join is walked
+gate by gate in a frame, for that occurrence only.  There an insertion
+or a join acts in the frame, on its own row: Z negates the amplitudes
+where parity(m_q & x) is odd; X moves the amplitude at x to x ^ d_q,
+and the row takes its own copy of the dict with every coefficient whose
+mask has an odd overlap with d_q negated; Y is i X Z.  A joining row is
+a copy of row 0's unflushed amplitudes and shares row 0's dict.  These
+steps are exact, and every rounded step runs at the same points on the
+same values whatever block a row is in, so a row's bits do not depend
+on the other rows of its block.
 
 Every row has the bits of the oracle the tests hold it against,
 ``serial_run`` in ``tests/gate_oracle.py``: it runs one register alone,
@@ -53,13 +66,14 @@ on one qubit a pass holds one amplitude; so 1-qubit trajectories run
 one row per block, gate by gate.
 
 Noisy trajectories run as the rows of such blocks, each block capped at
-``_BATCH_BYTES``.  Every gate is applied once to the rows that have
+``_BATCH_BYTES``.  Every step is applied once to the rows that have
 joined the block, and a Pauli insertion afterwards to its own row.  In a
 block led by the noiseless row, a row joins at its first insertion: just
 after that gate it starts as a copy of the noiseless row, whose every
-operation up to there it shares.  A noise site stores only its gate's
-index, rate and targets; the Pauli gates of an insertion are built the
-first time, in a process, that a site with those targets draws that Pauli.
+operation up to there it shares.  The noise sites (``_Sites``) are two
+arrays read off the plan, the gates' indices and their rates; the Pauli
+gates of an insertion are built the first time, in a process, that a
+site with those targets draws that Pauli.
 
 An observable is ``observe(ideal, state)``, a float from the noiseless
 final state and one trajectory's; its mean and standard error over the
@@ -195,8 +209,8 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -
     """Apply a one-qubit gate or a CZ in place to ``state``, a (lead,
     2^n, trail) view of a block's joined rows or of one row (see the
     module docstring), with ``scratch`` of at least state.size amplitudes
-    for ``_one_qubit``.  A CNOT never reaches the kernel: blocks on
-    n >= 2 qubits run it in a ``_Frame``."""
+    for ``_one_qubit``.  A CNOT never reaches the kernel: on n >= 2
+    qubits it is part of a stretch."""
     kind = gate.kind
     if kind == "IDLE":
         return
@@ -213,19 +227,8 @@ def _apply_inplace(state: np.ndarray, gate: Gate, n: int, scratch: np.ndarray) -
     v[:, 1, :, 1] *= -1.0
 
 
-#: One potential insertion point: (gate index, firing rate, gate targets).
-_Site = tuple[int, float, tuple[int, ...]]
-
 #: One trajectory's insertions: gate index -> Pauli gates applied after it.
 _Insertions = dict[int, tuple[Gate, ...]]
-
-
-def noise_sites(circuit: Circuit, noise: NoiseModel) -> list[_Site]:
-    """Insertion sites in circuit order; zero-rate channels contribute none."""
-    budget = noise.budget
-    rates = (budget.eps0, budget.eps1, budget.eps2)
-    return [(i, rate, gate.targets) for i, gate in enumerate(circuit.gates)
-            if (rate := rates[CHANNEL_OF_KIND[gate.kind]]) != 0.0]
 
 
 @functools.cache
@@ -242,17 +245,39 @@ def _paulis(rng: np.random.Generator, targets: tuple[int, ...]) -> tuple[Gate, .
     return _pauli_gates(targets, int(rng.integers(0, 15 if len(targets) == 2 else 3)))
 
 
-def sample_insertions(sites: list[_Site], traj_seed: int) -> _Insertions:
+@dataclass(frozen=True, eq=False)
+class _Sites:
+    """A circuit's insertion sites, in circuit order: site s is gate
+    ``index[s]`` of ``gates``, which fires at ``rate[s]``.  Zero-rate
+    channels contribute none."""
+
+    index: np.ndarray
+    rate: np.ndarray
+    gates: tuple[Gate, ...]
+
+    def __len__(self) -> int:
+        return self.index.size
+
+    def fire(self, rng: np.random.Generator) -> _Insertions:
+        """One trajectory's insertions drawn from ``rng``: one block
+        ``rng.random(len(self))``, then one Pauli draw for each site whose
+        uniform fell below its rate, in order (see the module docstring)."""
+        fired = self.index[rng.random(self.index.size) < self.rate].tolist()
+        return {g: _paulis(rng, self.gates[g].targets) for g in fired}
+
+
+def noise_sites(circuit: Circuit, noise: NoiseModel) -> _Sites:
+    """Insertion sites in circuit order, read off the circuit's plan;
+    zero-rate channels contribute none."""
+    return _Plan(circuit).sites(noise)
+
+
+def sample_insertions(sites: _Sites, traj_seed: int) -> _Insertions:
     """Draw one trajectory's insertions with a fresh
-    ``Generator(Philox(traj_seed))``, one site at a time; see the module
-    docstring for the exact draw order.  This is the reference for the
-    batched loop's ``_draws``."""
-    rng = np.random.Generator(np.random.Philox(traj_seed))
-    if not sites:
-        return {}
-    uniforms = rng.random(len(sites))
-    return {index: _paulis(rng, targets)
-            for u, (index, rate, targets) in zip(uniforms.tolist(), sites) if u < rate}
+    ``Generator(Philox(traj_seed))``; see the module docstring for the
+    exact draw order.  This is the reference for the batched loop's
+    ``_draws``."""
+    return sites.fire(np.random.Generator(np.random.Philox(traj_seed)))
 
 
 _MASK32 = 0xFFFFFFFF
@@ -326,7 +351,7 @@ def _philox_keys(first: int, count: int) -> np.ndarray:
     return keys
 
 
-def _draws(rng: np.random.Generator, sites: list[_Site], first: int,
+def _draws(rng: np.random.Generator, sites: _Sites, first: int,
            count: int) -> Iterator[tuple[int, _Insertions]]:
     """Draw the insertions of trajectories 0..count-1, with seeds first,
     first + 1, ..., and yield (i, ``sample_insertions(sites, first + i)``)
@@ -338,7 +363,6 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int,
     counter 0 and an empty output buffer.  Keys are derived for as many
     trajectories at a time as keep them within about one block's bytes.
     """
-    rates = np.array([rate for _, rate, _ in sites], dtype=np.float64)
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
              "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     # a key held as a Python list takes about 170 bytes, so a chunk of
@@ -349,17 +373,18 @@ def _draws(rng: np.random.Generator, sites: list[_Site], first: int,
         for i, key in enumerate(keys, start):
             state["state"]["key"] = key
             rng.bit_generator.state = state
-            fired = (rng.random(len(sites)) < rates).nonzero()[0]
-            if fired.size:
-                yield i, {sites[s][0]: _paulis(rng, sites[s][2]) for s in fired.tolist()}
+            insertions = sites.fire(rng)
+            if insertions:
+                yield i, insertions
 
 
 def run_with_insertions(circuit: Circuit, insertions: _Insertions) -> QuantumState:
     """Run the circuit from |0...0>, applying each insertion right after
-    its gate, as a block of one row.  In the package only ``run_ideal``
-    calls it; ``perfbench/replay.py`` times it."""
+    its gate: the circuit's plan walked as a block of one row.  In the
+    package only ``run_ideal`` calls it; ``perfbench/replay.py`` times
+    it."""
     scratch = np.empty(1 << circuit.n_qubits, dtype=np.complex128)
-    return _run_block(circuit, [insertions], scratch)[0]
+    return _run_block(_Plan(circuit), [insertions], scratch)[0]
 
 
 def run_ideal(circuit: Circuit) -> QuantumState:
@@ -413,16 +438,40 @@ def _xor_span(values: list[int]) -> np.ndarray:
     return a
 
 
+def _phases(n: int, masks, coefficients) -> np.ndarray:
+    """exp(1j * angle) as a 2^n column, angle[x] the sum over k of
+    coefficients[k] * (-1)^parity(masks[k] & x), the masks distinct: one
+    Walsh-Hadamard transform, its butterflies taken from the lowest bit
+    up."""
+    angle = np.zeros(1 << n)
+    angle[masks] = coefficients
+    other = np.empty_like(angle)
+    for p in range(n):
+        a, b = angle.reshape(-1, 2, 1 << p), other.reshape(-1, 2, 1 << p)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
+        angle, other = other, angle
+    return np.exp(1j * angle)[:, None]
+
+
+def _gather(view: np.ndarray, source: np.ndarray, scratch: np.ndarray) -> None:
+    """Move the amplitude at ``source[y]`` of every row of ``view``, a
+    (lead, 2^n, trail) view, to y, through ``scratch``."""
+    moved = scratch[:view.size].reshape(view.shape)
+    np.take(view, source, axis=1, out=moved, mode="clip")
+    np.copyto(view, moved)
+
+
 class _Frame:
     """The phase-polynomial frame of a stretch of CNOT and RZ gates on
-    n >= 2 qubits, for one block (see the module docstring).  With x the
-    position of an amplitude at the start of the stretch, qubit q's bit
-    of its logical index is parity(masks[q] & x), and columns[q] is the x
-    whose logical index has qubit q's bit alone.  A row's pending phase
-    at x is the sum over m of c[m] * (-1)^parity(m & x), with c the
-    ``shared`` coefficients or, once an X acted on the row inside the
-    stretch, the row's ``own``.  Masks and columns are Python ints, qubit
-    0 the high bit."""
+    n >= 2 qubits (see the module docstring).  With x the position of an
+    amplitude at the start of the stretch, qubit q's bit of its logical
+    index is parity(masks[q] & x), and columns[q] is the x whose logical
+    index has qubit q's bit alone.  A row's pending phase at x is the
+    sum over m of c[m] * (-1)^parity(m & x), with c the ``shared``
+    coefficients or, once an X acted on the row inside the stretch, the
+    row's ``own``.  Masks and columns are Python ints, qubit 0 the high
+    bit."""
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -436,18 +485,18 @@ class _Frame:
         self.shared: dict[int, float] = {}
         self.own: dict[int, dict[int, float]] = {}
         self.coefficients = [self.shared]  # shared, then every row's own
-        self.pending = False
 
-    def cnot(self, control: int, target: int) -> None:
-        self.masks[target] ^= self.masks[control]
-        self.columns[control] ^= self.columns[target]
-        self.pending = True
-
-    def rz(self, q: int, theta: float) -> None:
-        mask, half = self.masks[q], theta / 2.0
+    def step(self, gate: Gate) -> None:
+        """A CNOT(c, t): m_t ^= m_c and d_c ^= d_t; an RZ(theta) on q:
+        c[m_q] -= theta / 2 in every dict."""
+        if gate.kind == "CNOT":
+            control, target = gate.targets
+            self.masks[target] ^= self.masks[control]
+            self.columns[control] ^= self.columns[target]
+            return
+        mask, half = self.masks[gate.targets[0]], gate.theta / 2.0
         for c in self.coefficients:
             c[mask] = c.get(mask, 0.0) - half
-        self.pending = True
 
     def pauli(self, grid: np.ndarray, r: int, gate: Gate, scratch: np.ndarray) -> None:
         """An X, Y or Z on row r, ``grid[r]`` its 2^n amplitudes, inside
@@ -468,27 +517,13 @@ class _Frame:
         if kind == "Y":
             row *= 1j
 
-    def _phases(self, c: dict[int, float]) -> np.ndarray:
-        """exp(1j * angle) as a 2^n column, angle[x] the sum over m of
-        c[m] * (-1)^parity(m & x): one Walsh-Hadamard transform, its
-        butterflies taken from the lowest bit up."""
-        angle = np.zeros(1 << self.n)
-        angle[list(c)] = list(c.values())
-        other = np.empty_like(angle)
-        for p in range(self.n):
-            a, b = angle.reshape(-1, 2, 1 << p), other.reshape(-1, 2, 1 << p)
-            np.add(a[:, 0], a[:, 1], out=b[:, 0])
-            np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
-            angle, other = other, angle
-        return np.exp(1j * angle)[:, None]
-
     def flush(self, view: np.ndarray, grid: np.ndarray, scratch: np.ndarray) -> None:
         """End the stretch on the joined rows, ``view`` as a (lead, 2^n,
         trail) view and ``grid[r]`` row r: multiply each row by its
         coefficients' phases, then gather the amplitude at x to its
         logical index, and start a new stretch."""
         if self.shared:
-            phase = self._phases(self.shared)
+            phase = _phases(self.n, list(self.shared), list(self.shared.values()))
             if not self.own:
                 view *= phase
             else:
@@ -498,33 +533,100 @@ class _Frame:
                 for r in range(view.size >> self.n):
                     c = self.own.get(r)
                     np.copyto(row, grid[r])
-                    row *= (phase if c is None else self._phases(c))[:, 0]
+                    row *= (phase if c is None else _phases(self.n, list(c), list(c.values())))[:, 0]
                     grid[r] = row
         if self.columns != self.unit:
             # the amplitude for logical index y sits at the XOR of the
             # columns of y's set bits
-            source = _xor_span(self.columns[::-1])
-            moved = scratch[:view.size].reshape(view.shape)
-            np.take(view, source, axis=1, out=moved, mode="clip")
-            np.copyto(view, moved)
+            _gather(view, _xor_span(self.columns[::-1]), scratch)
         self.reset()
 
 
-def _run_block(circuit: Circuit, block: list[_Insertions],
+class _Stretch(NamedTuple):
+    """What a walk of a stretch's gates leaves in a fresh ``_Frame``: the
+    shared dict as its masks and coefficients, in the dict's order, and
+    the columns, None where they are the identity."""
+
+    masks: np.ndarray
+    coefficients: np.ndarray
+    columns: list[int] | None
+
+    @classmethod
+    def walk(cls, n: int, gates: tuple[Gate, ...]) -> "_Stretch":
+        frame = _Frame(n)
+        for gate in gates:
+            frame.step(gate)
+        c = frame.shared
+        return cls(np.array(list(c), dtype=np.intp), np.array(list(c.values()), dtype=np.float64),
+                   None if frame.columns == frame.unit else frame.columns)
+
+    def arrays(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The phase column and the gather source that ``_Frame.flush``
+        applies at the end of this stretch when no row has its own dict,
+        each None where the flush skips that pass."""
+        phase = _phases(n, self.masks, self.coefficients) if self.masks.size else None
+        return phase, None if self.columns is None else _xor_span(self.columns[::-1])
+
+
+class _Plan:
+    """A circuit compiled once for ``_run_block`` and the noise sites (see
+    the module docstring).  ``steps`` lists (first, stop, stretch): a
+    kernel gate ``gates[first]``, with stop = first + 1 and stretch None,
+    or on n >= 2 qubits a stretch gates[first:stop] of CNOT and RZ with
+    its ``_Stretch``, one object for all the stretches of the same Gate
+    objects.  ``channel`` holds each gate's noise channel."""
+
+    def __init__(self, circuit: Circuit) -> None:
+        n, gates = circuit.n_qubits, circuit.gates
+        self.n, self.gates = n, gates
+        # each distinct Gate object once; code[g] numbers gate g's object
+        ids = np.fromiter(map(id, gates), dtype=np.intp, count=len(gates))
+        _, first_use, code = np.unique(ids, return_index=True, return_inverse=True)
+        distinct = [gates[g] for g in first_use.tolist()]
+        self.channel = np.array([CHANNEL_OF_KIND[gate.kind] for gate in distinct],
+                                dtype=np.int8)[code]
+        in_stretch = np.array([n >= 2 and gate.kind in ("CNOT", "RZ") for gate in distinct],
+                              dtype=np.int8)[code]
+        # stretch edges alternate: a first gate, then the gate after the last
+        edges = np.flatnonzero(np.diff(in_stretch, prepend=0, append=0)).tolist()
+        stretches: dict[bytes, _Stretch] = {}  # keyed by the codes of its gates
+        self.steps: list[tuple[int, int, _Stretch | None]] = []
+        done = 0
+        for first, stop in zip(edges[::2], edges[1::2]):
+            self.steps += [(g, g + 1, None) for g in range(done, first)]
+            key = code[first:stop].tobytes()
+            if key not in stretches:
+                stretches[key] = _Stretch.walk(n, gates[first:stop])
+            self.steps.append((first, stop, stretches[key]))
+            done = stop
+        self.steps += [(g, g + 1, None) for g in range(done, len(gates))]
+
+    def sites(self, noise: NoiseModel) -> _Sites:
+        """The gates whose channel's rate is nonzero (IDLE -> eps0, other
+        one-qubit -> eps1, two-qubit -> eps2), with their rates."""
+        budget = noise.budget
+        rates = np.array([budget.eps0, budget.eps1, budget.eps2])
+        index = np.flatnonzero((rates != 0.0)[self.channel])
+        return _Sites(index, rates[self.channel[index]], self.gates)
+
+
+def _run_block(plan: _Plan, block: list[_Insertions],
                scratch: np.ndarray) -> np.ndarray:
-    """Run each entry of ``block`` as one row of a block of registers and
-    return the block as a contiguous (rows, 2^n) array.
+    """Run each entry of ``block`` as one row of a block of registers,
+    walking ``plan``'s steps, and return the block as a contiguous (rows,
+    2^n) array.
 
     ``scratch``, a flat complex128 area of at least rows * 2^n amplitudes
-    that the run owns, holds the temporaries of H and RX.  A block of at
-    least ``_WIDE`` rows is stored rows innermost, as a (2^n, rows)
-    array, so that every pass of a gate walks the joined rows of each
-    amplitude as one contiguous run; once the last gate has run it is
-    transposed back to contiguous rows in ``scratch``, and the array
-    returned is that view of ``scratch``.  A narrower block is stored
-    row-major, as the (rows, 2^n) array it returns.
+    that the run owns, holds the temporaries of H and RX and of a
+    stretch's gather.  A block of at least ``_WIDE`` rows is stored rows
+    innermost, as a (2^n, rows) array, so that every pass of a gate walks
+    the joined rows of each amplitude as one contiguous run; once the
+    last step has run it is transposed back to contiguous rows in
+    ``scratch``, and the array returned is that view of ``scratch``.  A
+    narrower block is stored row-major, as the (rows, 2^n) array it
+    returns.
 
-    Each gate acts once on the rows that have joined, the first
+    Each step acts once on the rows that have joined, the first
     ``active``; an insertion then acts on its own row, so every row sees
     the operations of a run of its own in their order.  If row 0 is the
     ideal run (no insertions), the other rows, ordered by their first
@@ -532,16 +634,17 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     up to there a row sees exactly the ideal run's operations.  Otherwise
     every row runs from |0...0>.
 
-    On n >= 2 qubits each stretch of CNOT and RZ gates runs in a
-    ``_Frame``, flushed before any other gate and after the last one:
-    where the circuit puts it, whatever rows the block holds.  An
-    insertion or a join inside a stretch acts in the frame, on the
-    amplitudes not yet flushed; an insertion where no stretch is pending
-    goes through ``_apply_inplace``.  A one-qubit RZ pass holds one
-    amplitude, so one-qubit blocks run gate by gate (see the module
-    docstring).
+    A kernel step goes through ``_apply_inplace``, and so does an
+    insertion after it.  A stretch step with no insertion and no join
+    after any of its gates applies the flush of its ``_Stretch``: one
+    multiply by its phase column, then one gather.  The two arrays are
+    computed at the step and kept while the next such stretch is the same
+    one.  A stretch step that holds an insertion or a join is walked gate
+    by gate in a ``_Frame``, which the insertions and joins act in, and
+    flushed after its last gate.  Either way a stretch is flushed where
+    the circuit puts it, whatever rows the block holds.
     """
-    n = circuit.n_qubits
+    n, gates = plan.n, plan.gates
     wide = len(block) >= _WIDE
     states = np.zeros((1 << n, len(block)) if wide else (len(block), 1 << n),
                       dtype=np.complex128)
@@ -562,33 +665,48 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     for r, insertions in enumerate(block):
         for index, paulis in insertions.items():
             after.setdefault(index, []).append((r, paulis))
-    frame = _Frame(n) if n >= 2 else None
     view = head(active)
-    for g, gate in enumerate(circuit.gates):
-        kind = gate.kind
-        if kind == "CNOT":
-            frame.cnot(*gate.targets)
-        elif kind == "RZ" and frame is not None:
-            frame.rz(gate.targets[0], gate.theta)
-        else:
-            if frame is not None and frame.pending:
-                frame.flush(view, grid, scratch)
-            _apply_inplace(view, gate, n, scratch)
-        inserted = after.get(g)
-        if inserted is None:
-            continue
+
+    def insert(g: int, frame: _Frame | None) -> None:
+        """The joins and insertions after gate g, inside ``frame``'s
+        stretch or, with no frame, through the kernel."""
+        nonlocal active, view
         if g in joined:
             grid[active:joined[g]] = grid[0]
             active = joined[g]
             view = head(active)
-        for r, paulis in inserted:
+        for r, paulis in after[g]:
             for pauli in paulis:
-                if frame is not None and frame.pending:
-                    frame.pauli(grid, r, pauli, scratch)
-                else:
+                if frame is None:
                     _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
-    if frame is not None and frame.pending:
-        frame.flush(view, grid, scratch)
+                else:
+                    frame.pauli(grid, r, pauli, scratch)
+
+    marks = iter(sorted(after))
+    mark = next(marks, len(gates))  # the next gate with an insertion after it
+    frame = _Frame(n) if n >= 2 else None
+    held = (None, None, None)  # the last stretch flushed whole, its phase and source
+    for first, stop, stretch in plan.steps:
+        if stretch is None:
+            _apply_inplace(view, gates[first], n, scratch)
+            if mark == first:
+                insert(first, None)
+                mark = next(marks, len(gates))
+        elif mark >= stop:
+            if held[0] is not stretch:
+                held = (stretch, *stretch.arrays(n))
+            _, phase, source = held
+            if phase is not None:
+                view *= phase
+            if source is not None:
+                _gather(view, source, scratch)
+        else:
+            for g in range(first, stop):
+                frame.step(gates[g])
+                if mark == g:
+                    insert(g, frame)
+                    mark = next(marks, len(gates))
+            frame.flush(view, grid, scratch)
     if not wide:
         return states
     out = scratch[:states.size].reshape(grid.shape)
@@ -596,7 +714,7 @@ def _run_block(circuit: Circuit, block: list[_Insertions],
     return out
 
 
-def _blocks(sites: list[_Site], n_traj: int, seed: int,
+def _blocks(sites: _Sites, n_traj: int, seed: int,
             rows: int) -> Iterator[tuple[list[int], list[_Insertions]]]:
     """Draw the trajectories' insertions in order and yield those that drew
     at least one as (trajectories, insertions) blocks of at most ``rows``,
@@ -633,11 +751,12 @@ def mean_over_trajectories(
     ``_run_block``)."""
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
-    sites = noise_sites(circuit, noise)
-    if not sites:
-        ideal = run_ideal(circuit)
-        return Estimate(observe(ideal, ideal), 0.0)
     n = circuit.n_qubits
+    plan = _Plan(circuit)
+    sites = plan.sites(noise)
+    if not len(sites):
+        ideal = _run_block(plan, [{}], np.empty(1 << n, dtype=np.complex128))[0]
+        return Estimate(observe(ideal, ideal), 0.0)
     # On one qubit, T and RZ multiply a single amplitude per row, and numpy
     # rounds a one-element complex product differently from the same
     # product inside its vector loop; so those rows run one at a time.
@@ -649,7 +768,7 @@ def mean_over_trajectories(
     for owners, block in _blocks(sites, n_traj, seed, rows):
         if scratch.size < len(block) << n:
             scratch = np.empty(len(block) << n, dtype=np.complex128)
-        states = _run_block(circuit, block, scratch)
+        states = _run_block(plan, block, scratch)
         if ideal is None:
             ideal = states[0].copy()
         for r, i in enumerate(owners, start=len(block) - len(owners)):

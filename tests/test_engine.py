@@ -25,6 +25,7 @@ from qfeas.sim.engine import (
     _WIDE,
     PAULI_PAIRS,
     NoiseModel,
+    _Plan,
     _blocks,
     _run_block,
     estimate_fidelity,
@@ -200,7 +201,7 @@ class TestRunBlock:
         scratch = np.empty(len(block) << circuit.n_qubits, dtype=np.complex128)
         tracemalloc.start()
         try:
-            states = _run_block(circuit, block, scratch)
+            states = _run_block(_Plan(circuit), block, scratch)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -219,7 +220,7 @@ class TestRunBlock:
         circuit = Circuit(n, tuple(gates))
         block = [{}, {2: (x(0),)}, {7: (y(6),), 30: (z(6), x(7))}, {40: (y(3),)}]
         scratch = np.empty(len(block) << n, dtype=np.complex128)
-        states = _run_block(circuit, block, scratch)
+        states = _run_block(_Plan(circuit), block, scratch)
         assert states.shape == (4, 1 << n)
         for row, insertions in zip(states, block):
             assert row.tobytes() == serial_run(circuit, insertions).tobytes()
@@ -262,7 +263,7 @@ class TestStretch:
         assert kinds == {"X", "Y", "Z"}
         for block in ([{}] + sorted(rows, key=min), rows + [{}]):
             scratch = np.empty(len(block) << n, dtype=np.complex128)
-            states = _run_block(circuit, block, scratch)
+            states = _run_block(_Plan(circuit), block, scratch)
             for row, insertions in zip(states, block):
                 assert np.allclose(row, dense_run(circuit, insertions), rtol=0.0, atol=1e-12)
 

@@ -32,6 +32,7 @@ from qfeas.sim.circuit import Circuit, random_circuit
 from qfeas.sim.engine import (
     _WIDE,
     NoiseModel,
+    _Plan,
     _blocks,
     _draws,
     _philox_keys,
@@ -81,9 +82,9 @@ WIDTHS = (7, _WIDE)
 
 
 def _run(circuit, block):
-    """``_run_block`` with a scratch area of its own."""
+    """``_run_block`` on the circuit's plan, with a scratch area of its own."""
     scratch = np.empty(len(block) << circuit.n_qubits, dtype=np.complex128)
-    return _run_block(circuit, block, scratch)
+    return _run_block(_Plan(circuit), block, scratch)
 
 
 def _assert_rows_match_oracle(circuit, block):
@@ -304,7 +305,8 @@ def _same_state(a, b):
 
 def test_rekeyed_generator_gives_a_fresh_generators_stream():
     # both sites fire, so a draw ends with integers(0, 15), integers(0, 3)
-    sites = [(0, 1.0, (0, 1)), (1, 1.0, (2,))]
+    sites = noise_sites(Circuit(3, (Gate("CZ", (0, 1)), Gate("H", (2,)))),
+                        NoiseModel(ErrorBudget(eps1=1.0, eps2=1.0)))
     rng = np.random.Generator(np.random.Philox(12345))
     for s in SEEDS:
         rng.random(3)
