@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qfeas.sim.engine import (
     _WIDE,
     PAULI_PAIRS,
     NoiseModel,
+    _Frame,
     _Plan,
     _blocks,
     _run_block,
@@ -36,6 +38,7 @@ from qfeas.sim.engine import (
     state_fidelity,
 )
 from qfeas.sim.gates import (
+    CHANNEL_OF_KIND,
     ONE_QUBIT_KINDS,
     PARAMETRIC_KINDS,
     TWO_QUBIT_KINDS,
@@ -52,7 +55,7 @@ from qfeas.sim.gates import (
     y,
     z,
 )
-from qfeas.sim.grover import controlled_phase_gates
+from qfeas.sim.grover import build_grover_circuit, controlled_phase_gates
 
 from gate_oracle import cnot_source, dense_run, gate_matrix, serial_run
 
@@ -266,6 +269,76 @@ class TestStretch:
             states = _run_block(_Plan(circuit), block, scratch)
             for row, insertions in zip(states, block):
                 assert np.allclose(row, dense_run(circuit, insertions), rtol=0.0, atol=1e-12)
+
+
+def _per_gate_sites(circuit, budget):
+    """The reference sites: (index, rate, targets) of every gate whose
+    channel's rate is nonzero, one gate at a time."""
+    rates = (budget.eps0, budget.eps1, budget.eps2)
+    return [(g, rates[CHANNEL_OF_KIND[gate.kind]], gate.targets)
+            for g, gate in enumerate(circuit.gates) if rates[CHANNEL_OF_KIND[gate.kind]] != 0.0]
+
+
+SITE_CIRCUITS = {
+    "random": random_circuit(5, 12, 7),
+    "grover": build_grover_circuit(4, "0110", 2),
+    "idle": Circuit(3, (h(0), idle(1), cnot(0, 1), rz(1, 0.3), idle(2), cz(1, 2), t(2),
+                        idle(0), cnot(2, 0), rx(1, -0.8), idle(1))),
+    "one-qubit": Circuit(1, (h(0), rz(0, 0.2), idle(0), rz(0, -1.4), t(0), rx(0, 0.4), idle(0))),
+}
+
+SITE_BUDGETS = {
+    "eps0": ErrorBudget(eps0=0.01),
+    "eps1": ErrorBudget(eps1=0.02),
+    "eps2": ErrorBudget(eps2=0.03),
+    "mixed": ErrorBudget(eps0=0.01, eps1=0.02, eps2=0.03),
+}
+
+
+class TestPlan:
+    @pytest.mark.parametrize("n, iterations", [(2, 1), (3, 2), (5, 3)])
+    def test_grover_walks_its_network_once(self, n, iterations):
+        """The 2k phase networks of a k-iteration search repeat one tuple
+        of Gate objects, so they share one ``_Stretch``, and building the
+        plan walks a frame over that network once."""
+        circuit = build_grover_circuit(n, "1" * n, iterations)
+        with mock.patch.object(_Frame, "step", autospec=True, side_effect=_Frame.step) as step:
+            plan = _Plan(circuit)
+        stretches = [stretch for _, _, stretch in plan.steps if stretch is not None]
+        assert len(stretches) == 2 * iterations
+        assert all(stretch is stretches[0] for stretch in stretches)
+        assert step.call_count == (1 << n) - 1 + (1 << n) - 2  # RZ + CNOT of one network
+
+    @pytest.mark.parametrize("name", SITE_CIRCUITS)
+    def test_steps_cover_the_gates_and_stretches_are_maximal(self, name):
+        circuit = SITE_CIRCUITS[name]
+        plan = _Plan(circuit)
+        in_stretch = [circuit.n_qubits >= 2 and gate.kind in ("CNOT", "RZ")
+                      for gate in circuit.gates]
+        bounds = [(first, stop) for first, stop, _ in plan.steps]
+        assert [first for first, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == len(circuit.gates)
+        for first, stop, stretch in plan.steps:
+            if stretch is None:
+                assert stop == first + 1 and not in_stretch[first]
+            else:
+                assert all(in_stretch[first:stop])
+                assert first == 0 or not in_stretch[first - 1]
+                assert stop == len(circuit.gates) or not in_stretch[stop]
+        if circuit.n_qubits == 1:
+            assert all(stretch is None for _, _, stretch in plan.steps)
+
+    @pytest.mark.parametrize("budget", SITE_BUDGETS)
+    @pytest.mark.parametrize("name", SITE_CIRCUITS)
+    def test_sites_match_the_per_gate_reference(self, name, budget):
+        circuit, budget = SITE_CIRCUITS[name], SITE_BUDGETS[budget]
+        sites = noise_sites(circuit, NoiseModel(budget))
+        assert sites.gates is circuit.gates
+        assert len(sites) == sites.index.size == sites.rate.size
+        got = [(g, rate, sites.gates[g].targets)
+               for g, rate in zip(sites.index.tolist(), sites.rate.tolist())]
+        want = _per_gate_sites(circuit, budget)
+        assert got == want
 
 
 class TestSerialOracle:

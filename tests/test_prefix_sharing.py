@@ -43,7 +43,7 @@ from qfeas.sim.engine import (
     sample_insertions,
 )
 from qfeas.sim.gates import Gate
-from qfeas.sim.grover import build_grover_circuit
+from qfeas.sim.grover import build_grover_circuit, controlled_phase_gates
 
 from gate_oracle import serial_run
 
@@ -293,6 +293,62 @@ def test_a_search_row_has_the_same_bits_in_any_block():
             _run(circuit, wide)[wide.index(trajectory)]]
     assert len({probability(state) for state in runs}) == 1
     assert len({state.tobytes() for state in runs}) == 1
+
+
+def _edge_circuit():
+    """Four qubits: an H layer, then stretches separated by one kernel
+    gate each.  ``net`` (29 gates) appears four times, and its second
+    and third appearances stand on either side of ``other``, so a block
+    flushes ``net`` whole, then ``other``, then ``net`` again; ``(CNOT,)``
+    is a stretch of one gate, and the circuit ends inside ``net``."""
+    net = tuple(controlled_phase_gates(range(4), 0.9))
+    other = tuple(controlled_phase_gates(range(1, 4), -0.4))
+    gates = (*(Gate("H", (q,)) for q in range(4)), *net, Gate("X", (1,)), *net,
+             Gate("H", (2,)), *other, Gate("T", (0,)), *net, Gate("H", (3,)),
+             Gate("CNOT", (0, 3)), Gate("RX", (1,), 0.3), *net)
+    return Circuit(4, gates)
+
+
+def _edge_points(circuit):
+    """For the second, the one-gate and the last stretch: its first, a
+    middle and its last gate, and the kernel gates just before and just
+    after it (the last stretch ends the circuit)."""
+    kinds = [gate.kind for gate in circuit.gates] + ["END"]
+    starts = [g for g in range(len(circuit.gates))
+              if kinds[g] in ("CNOT", "RZ") and kinds[g - 1] not in ("CNOT", "RZ")]
+    points = []
+    for first in (starts[1], starts[4], starts[5]):
+        stop = next(g for g in range(first, len(kinds)) if kinds[g] not in ("CNOT", "RZ"))
+        points += [first - 1, first, (first + stop - 1) // 2, stop - 1, stop]
+    return sorted({g for g in points if g < len(circuit.gates)})
+
+
+def _edge_rows(circuit):
+    """Rows that join at each edge point (their first insertion) and
+    rows that join at gate 0 and take an insertion at it; a CNOT site
+    inserts on both its targets."""
+    rows = []
+    for k, g in enumerate(_edge_points(circuit)):
+        targets = circuit.gates[g].targets
+        paulis = tuple(Gate("XYZ"[(k + j) % 3], (q,)) for j, q in enumerate(targets))
+        rows.append({g: paulis})
+        rows.append({0: (Gate("ZXY"[k % 3], (k % 4,)),), g: paulis[::-1]})
+    return rows
+
+
+@pytest.mark.parametrize("width", [4, 6, _WIDE])
+def test_rows_join_and_take_insertions_at_stretch_edges(width):
+    """Blocks of 4 and 6 rows are row-major, 16 rows innermost; in a
+    block led by the ideal row a row joins at its first insertion, and
+    without it every row runs from the start.  Every row matches the
+    oracle bit for bit, whichever steps its block flushes whole."""
+    circuit = _edge_circuit()
+    rows = _edge_rows(circuit)
+    assert len(rows) == 22
+    for count, lead in ((width - 1, [{}]), (width, [])):
+        for start in range(0, len(rows), count):
+            chunk = (rows[start:] + rows)[:count]
+            _assert_rows_match_oracle(circuit, lead + (sorted(chunk, key=min) if lead else chunk))
 
 
 def _same_state(a, b):
