@@ -533,7 +533,8 @@ class _Frame:
                 for r in range(view.size >> self.n):
                     c = self.own.get(r)
                     np.copyto(row, grid[r])
-                    row *= (phase if c is None else _phases(self.n, list(c), list(c.values())))[:, 0]
+                    factors = phase if c is None else _phases(self.n, list(c), list(c.values()))
+                    row *= factors[:, 0]
                     grid[r] = row
         if self.columns != self.unit:
             # the amplitude for logical index y sits at the XOR of the
