@@ -685,7 +685,7 @@ def _run_block(plan: _Plan, block: list[_Insertions],
 
     marks = iter(sorted(after))
     mark = next(marks, len(gates))  # the next gate with an insertion after it
-    frame = _Frame(n) if n >= 2 else None
+    frame = _Frame(n)  # walks the stretches that hold an insertion or a join
     held = (None, None, None)  # the last stretch flushed whole, its phase and source
     for first, stop, stretch in plan.steps:
         if stretch is None:

@@ -301,7 +301,7 @@ class TestPlan:
         """The 2k phase networks of a k-iteration search repeat one tuple
         of Gate objects, so they share one ``_Stretch``, and building the
         plan walks a frame over that network once."""
-        circuit = build_grover_circuit(n, "1" * n, iterations)
+        circuit = build_grover_circuit(n, ("10" * n)[:n], iterations)
         with mock.patch.object(_Frame, "step", autospec=True, side_effect=_Frame.step) as step:
             plan = _Plan(circuit)
         stretches = [stretch for _, _, stretch in plan.steps if stretch is not None]
