@@ -153,7 +153,8 @@ def random_circuit(n: int, depth: int, seed: int,
     Each layer applies one random single-qubit gate from {H, T, RX(pi/2)}
     to every qubit, then CZ on `pairs_per_layer` disjoint pairs drawn
     from a seeded permutation (default: the maximal n//2 pairing).
-    Counts are exact: N1 = depth*n, N2 = depth*pairs_per_layer.
+    Counts are exact: N1 = depth*n, N2 = depth*pairs_per_layer.  Every
+    layer reuses one Gate object per (kind, qubit) and per CZ pair.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -167,14 +168,17 @@ def random_circuit(n: int, depth: int, seed: int,
             f"pairs_per_layer must lie in [1, {max_pairs}], got {pairs_per_layer}")
     rng = np.random.Generator(np.random.Philox(seed))
     half_pi = math.pi / 2
-    single = (h, t, lambda q: rx(q, half_pi))
+    single = [(h(q), t(q), rx(q, half_pi)) for q in range(n)]
+    pairs: dict[tuple[int, int], Gate] = {}
     gates: list[Gate] = []
     for _ in range(depth):
-        picks = rng.integers(0, 3, size=n)
-        for q in range(n):
-            gates.append(single[int(picks[q])](q))
-        perm = rng.permutation(n)
+        picks = rng.integers(0, 3, size=n).tolist()
+        gates += [single[q][pick] for q, pick in enumerate(picks)]
+        perm = rng.permutation(n).tolist()
         for i in range(pairs_per_layer):
-            a, b = int(perm[2 * i]), int(perm[2 * i + 1])
-            gates.append(cz(min(a, b), max(a, b)))
+            a, b = perm[2 * i], perm[2 * i + 1]
+            pair = (min(a, b), max(a, b))
+            if pair not in pairs:
+                pairs[pair] = cz(*pair)
+            gates.append(pairs[pair])
     return Circuit(n, tuple(gates))

@@ -378,12 +378,18 @@ class TestOutputContract:
     @pytest.mark.parametrize("count, extra", [
         ("1000000000000000", []),
         ("200", ["--trajectories", "1000000000000000"]),
-    ], ids=["scenario", "flag"])
+        ("200", ["--trajectories", "9223372036854775807"]),
+    ], ids=["scenario", "flag", "flag-at-the-bound"])
     def test_unholdable_trajectory_count_exits_1(self, tmp_path, capsys, count, extra):
-        # 10**15 float64 values are 7 PiB, beyond any 64-bit address space
+        # 10**15 float64 values are 7 PiB, which numpy cannot allocate, and
+        # 2^63 - 1 of them lie beyond the address space; numpy's messages
+        # for the two differ and name no field
         text = SIM_RANDOM.replace("trajectories: 200", f"trajectories: {count}")
         assert main(["simulate", write(tmp_path, "t.yaml", text)] + extra) == 1
-        assert capsys.readouterr().err.startswith("qfeas: error: Unable to allocate")
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("qfeas: error: trajectories: ")
+        assert "is too many to hold in memory" in err
 
     @pytest.mark.parametrize("count, extra", [
         ("9" * 400, []),
