@@ -34,17 +34,22 @@ from .gates import (
 )
 
 
-def _first_use(gates: tuple[Gate, ...], gate: Gate) -> int:
-    """The index of the first occurrence of the object ``gate``."""
-    return next(i for i, used in enumerate(gates) if used is gate)
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """An n-qubit register and the gates applied to it, in order."""
+    """An n-qubit register and the gates applied to it, in order.
+
+    The circuit numbers its distinct Gate objects once: ``distinct``
+    holds each of them once, and ``code[g]`` is the position in
+    ``distinct`` of gate g's object.  A search circuit repeats a few dozen
+    objects (84 on 10 qubits) over about 10^5 gates, so validation, text,
+    counts and the engine's plan work per distinct object and spread
+    their results by ``code``.
+    """
 
     n_qubits: int
     gates: tuple[Gate, ...] = field(default_factory=tuple)
+    distinct: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
+    code: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool):
@@ -54,17 +59,42 @@ class Circuit:
                 f"n_qubits must lie in [1, {MAX_QUBITS}], got {self.n_qubits}")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        # A search circuit repeats its phase networks' Gate objects, so each
-        # distinct object is checked once, in order of first use (the tuple
-        # keeps every id alive); a failure names that first use's index.
+        # the tuple keeps every object alive, so ids stay distinct
+        ids = np.fromiter(map(id, gates), dtype=np.intp, count=len(gates))
+        _, first_use, code = np.unique(ids, return_index=True, return_inverse=True)
+        first_use = first_use.tolist()
+        distinct = tuple(gates[g] for g in first_use)
+        # each distinct object is checked once; a failure names the first
+        # bad index, the smallest first use among the bad objects
         n = self.n_qubits
-        for gate in dict(zip(map(id, gates), gates)).values():
+        bad = [(g, gate) for g, gate in zip(first_use, distinct)
+               if not isinstance(gate, Gate) or max(gate.targets) >= n]
+        if bad:
+            g, gate = min(bad, key=lambda entry: entry[0])
             if not isinstance(gate, Gate):
-                raise TypeError(f"gates[{_first_use(gates, gate)}] is not a Gate: {gate!r}")
-            if max(gate.targets) >= n:
-                raise BadTargetError(
-                    f"gates[{_first_use(gates, gate)}] ({gate.kind}) targets "
-                    f"{gate.targets} outside a {n}-qubit register")
+                raise TypeError(f"gates[{g}] is not a Gate: {gate!r}")
+            raise BadTargetError(
+                f"gates[{g}] ({gate.kind}) targets {gate.targets} outside a "
+                f"{n}-qubit register")
+        code.setflags(write=False)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "code", code)
+
+    @classmethod
+    def repeated(cls, n_qubits: int, head: tuple[Gate, ...], body: tuple[Gate, ...],
+                 times: int) -> "Circuit":
+        """``Circuit(n_qubits, head + body * times)``, equal to it field for
+        field, but validated and numbered from ``head + body`` alone: the
+        body's codes are tiled ``times`` times.  With ``times`` below 1
+        the body is neither validated nor numbered, as it holds no gate."""
+        head, body = tuple(head), tuple(body)
+        circuit = cls(n_qubits, head + body * min(times, 1))
+        if times > 1:
+            object.__setattr__(circuit, "gates", head + body * times)
+            code = np.concatenate((circuit.code, np.tile(circuit.code[len(head):], times - 1)))
+            code.setflags(write=False)
+            object.__setattr__(circuit, "code", code)
+        return circuit
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -72,23 +102,24 @@ class Circuit:
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
 
+    def channels(self) -> np.ndarray:
+        """Each gate's noise channel by ``CHANNEL_OF_KIND`` (IDLE -> 0,
+        other one-qubit kinds -> 1, two-qubit -> 2), as an int8 array."""
+        return np.array([CHANNEL_OF_KIND[gate.kind] for gate in self.distinct],
+                        dtype=np.int8)[self.code]
+
     def counts(self) -> OpCounts:
         """Operation tallies: IDLE slots as N0, one-qubit gates as N1,
         two-qubit gates as N2."""
-        tally = [0, 0, 0]
-        for gate in self.gates:
-            tally[CHANNEL_OF_KIND[gate.kind]] += 1
-        return OpCounts(*tally)
+        return OpCounts(*np.bincount(self.channels(), minlength=3).tolist())
 
     def to_text(self) -> str:
         """Canonical text form; see the module docstring."""
-        lines = [f"qubits {self.n_qubits}"]
-        for gate in self.gates:
-            parts = [gate.kind, *(str(q) for q in gate.targets)]
-            if gate.theta is not None:
-                parts.append(repr(gate.theta))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
+        lines = [" ".join((gate.kind, *map(str, gate.targets),
+                           *(() if gate.theta is None else (repr(gate.theta),))))
+                 for gate in self.distinct]
+        return "\n".join((f"qubits {self.n_qubits}",
+                          *map(lines.__getitem__, self.code.tolist()))) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":

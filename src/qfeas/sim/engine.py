@@ -29,9 +29,11 @@ steps: a kernel gate, or on n >= 2 qubits a whole stretch of CNOT and
 RZ gates, such as a Grover phase network (the Gray-code networks of
 Welch, Greenbaum, Mostame and Aspuru-Guzik, arXiv:1306.3991), which runs
 as a phase polynomial (Amy, Maslov and Mosca, arXiv:1303.2042).  The
-plan is built without a Python loop over the gates: one pass numbers the
-distinct Gate objects, and numpy arrays of their kinds give each gate's
-noise channel and the stretch edges.  With x the position of an
+plan is built without a Python loop over the gates: it reads the
+circuit's numbering of its distinct Gate objects (``Circuit.distinct``
+and ``Circuit.code``, made once when the circuit is built), and numpy
+arrays of their kinds, spread by the codes, give each gate's noise
+channel and the stretch edges.  With x the position of an
 amplitude at the start of the stretch, a frame (``_Frame``) holds, as
 Python ints, each qubit's mask m_q, whose parity with x is that qubit's
 current bit, and its column d_q, the x whose current index has qubit q's
@@ -127,7 +129,7 @@ import numpy as np
 
 from ..model import ErrorBudget
 from .circuit import Circuit
-from .gates import _SQ2, _T_PHASE, CHANNEL_OF_KIND, Gate
+from .gates import _SQ2, _T_PHASE, Gate
 
 #: A register state: 2^n complex128 amplitudes, qubit 0 = high bit.
 QuantumState = np.ndarray
@@ -596,19 +598,16 @@ class _Plan:
     kernel gate ``gates[first]``, with stop = first + 1 and stretch None,
     or on n >= 2 qubits a stretch gates[first:stop] of CNOT and RZ with
     its ``_Stretch``, one object for all the stretches of the same Gate
-    objects.  ``channel`` holds each gate's noise channel."""
+    objects.  ``channel`` holds each gate's noise channel.  The plan
+    numbers nothing itself: a stretch is keyed by the circuit's codes of
+    its gates."""
 
     def __init__(self, circuit: Circuit) -> None:
-        n, gates = circuit.n_qubits, circuit.gates
+        n, gates, code = circuit.n_qubits, circuit.gates, circuit.code
         self.n, self.gates = n, gates
-        # each distinct Gate object once; code[g] numbers gate g's object
-        ids = np.fromiter(map(id, gates), dtype=np.intp, count=len(gates))
-        _, first_use, code = np.unique(ids, return_index=True, return_inverse=True)
-        distinct = [gates[g] for g in first_use.tolist()]
-        self.channel = np.array([CHANNEL_OF_KIND[gate.kind] for gate in distinct],
-                                dtype=np.int8)[code]
-        in_stretch = np.array([n >= 2 and gate.kind in ("CNOT", "RZ") for gate in distinct],
-                              dtype=np.int8)[code]
+        self.channel = circuit.channels()
+        in_stretch = np.array([n >= 2 and gate.kind in ("CNOT", "RZ")
+                               for gate in circuit.distinct], dtype=np.int8)[code]
         # stretch edges alternate: a first gate, then the gate after the last
         edges = np.flatnonzero(np.diff(in_stretch, prepend=0, append=0)).tolist()
         stretches: dict[bytes, _Stretch] = {}  # keyed by the codes of its gates

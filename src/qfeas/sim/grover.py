@@ -27,7 +27,9 @@ def controlled_phase_gates(qubits: Sequence[int], theta: float) -> list[Gate]:
     (-1)^(|S|+1) * theta / 2^(m-1).  Subsets are grouped by their
     highest wire and their parity is folded onto it with CNOTs walked
     in Gray-code order, so consecutive subsets differ by a single fold.
-    Emits exactly 2^m - 1 RZ and 2^m - 2 CNOT gates for m wires.
+    Emits exactly 2^m - 1 RZ and 2^m - 2 CNOT gates for m wires, built
+    as one Gate object per CNOT (control, target) and per RZ (wire,
+    +-angle), each reused wherever the network repeats it.
     """
     qs = sorted(qubits)
     m = len(qs)
@@ -36,24 +38,20 @@ def controlled_phase_gates(qubits: Sequence[int], theta: float) -> list[Gate]:
     base = theta / (1 << (m - 1))
     out: list[Gate] = []
     for i, q in enumerate(qs):
-        lower = qs[:i]
-        out.append(rz(q, base))  # S = {q}, odd size
+        folds = [cnot(c, q) for c in qs[:i]]
+        turns = (rz(q, -base), rz(q, base))  # by the parity of |S|
+        out.append(turns[1])  # S = {q}, odd size
         gray = 0
         for step in range(1, 1 << i):
             code = step ^ (step >> 1)
             flip = (code ^ gray).bit_length() - 1
             gray = code
-            out.append(cnot(lower[flip], q))
-            size = 1 + gray.bit_count()
-            out.append(rz(q, base if size % 2 else -base))
+            out.append(folds[flip])
+            out.append(turns[(1 + gray.bit_count()) % 2])
         for bit in range(i):  # unfold whatever the walk left behind
             if gray >> bit & 1:
-                out.append(cnot(lower[bit], q))
+                out.append(folds[bit])
     return out
-
-
-def _mcz_gates(n: int) -> tuple[Gate, ...]:
-    return tuple(controlled_phase_gates(range(n), math.pi))
 
 
 def build_grover_circuit(n: int, marked: str, iterations: int) -> Circuit:
@@ -63,26 +61,20 @@ def build_grover_circuit(n: int, marked: str, iterations: int) -> Circuit:
     The oracle conjugates a multi-controlled Z with X on the qubits
     where `marked` has a 0 bit (qubit 0 = leftmost character); the
     diffusion operator is H X (MCZ) X H on every wire.  Global phases
-    are not tracked.
+    are not tracked.  Every iteration is one tuple of Gate objects, one H
+    and one X per wire and the phase network's, so the circuit is
+    :meth:`Circuit.repeated` of it.
     """
     if not 1 <= n <= MAX_QUBITS:  # before networks of 2^n gates are built
         raise ValueError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
     check_marked(n, marked)
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    mcz = _mcz_gates(n)
-    zeros = [q for q, bit in enumerate(marked) if bit == "0"]
-    gates: list[Gate] = [h(q) for q in range(n)]
-    for _ in range(iterations):
-        gates += [x(q) for q in zeros]
-        gates += mcz
-        gates += [x(q) for q in zeros]
-        gates += [h(q) for q in range(n)]
-        gates += [x(q) for q in range(n)]
-        gates += mcz
-        gates += [x(q) for q in range(n)]
-        gates += [h(q) for q in range(n)]
-    return Circuit(n, tuple(gates))
+    mcz = tuple(controlled_phase_gates(range(n), math.pi))
+    hs, xs = tuple(h(q) for q in range(n)), tuple(x(q) for q in range(n))
+    flips = tuple(xs[q] for q, bit in enumerate(marked) if bit == "0")
+    iteration = flips + mcz + flips + hs + xs + mcz + xs + hs
+    return Circuit.repeated(n, hs, iteration, iterations)
 
 
 def ideal_success_probability(n: int, iterations: int) -> float:

@@ -379,6 +379,46 @@ class TestPlan:
         assert all(stretch is stretches[0] for stretch in stretches)
         assert step.call_count == (1 << n) - 1 + (1 << n) - 2  # RZ + CNOT of one network
 
+    def test_search_circuit_builds_each_distinct_gate_once(self):
+        """One H and one X per wire and one Gate per CNOT (control, target)
+        and per RZ (wire, +-angle): at most n^2 + 3n objects for a
+        103,460-gate circuit."""
+        n = 10
+        with mock.patch.object(Gate, "__post_init__", autospec=True,
+                               side_effect=Gate.__post_init__) as post_init:
+            circuit = build_grover_circuit(n, "1011001110", 25)
+        assert post_init.call_count <= n * n + 3 * n
+        assert len(circuit.gates) == n + 25 * (2 * 4 + 4 * n + 2 * ((1 << n) - 1 + (1 << n) - 2))
+        # H and X per wire, 2n - 1 RZ (wire 0 never turns by -angle), the CNOTs
+        assert len(circuit.distinct) == 2 * n + 2 * n - 1 + n * (n - 1) // 2
+
+    def test_plan_numbers_nothing(self):
+        """The plan reads the circuit's ``distinct`` and ``code``; it takes
+        no id of a gate and sorts nothing."""
+        circuit = build_grover_circuit(5, "10110", 3)
+        numbered = AssertionError("the plan numbered the gates again")
+        with mock.patch.object(np, "unique", side_effect=numbered), \
+                mock.patch.object(np, "fromiter", side_effect=numbered):
+            plan = _Plan(circuit)
+        assert sum(stretch is not None for _, _, stretch in plan.steps) == 6
+
+    @pytest.mark.parametrize("times", [0, 1, 2, 5])
+    def test_repeated_circuit_shares_stretches_as_the_flat_one(self, times):
+        """A repeated circuit's tiled codes key its stretches as the flat
+        circuit's codes do: the same steps, the same sharing."""
+        net = tuple(controlled_phase_gates(range(3), 0.7))
+        head = (h(0), *net, cnot(2, 0), h(2))
+        body = (x(1), *net, h(0), cnot(0, 1), rz(1, 0.2), *net, x(1), cz(0, 2))
+
+        def shape(plan):
+            stretches = [id(stretch) for _, _, stretch in plan.steps if stretch is not None]
+            return ([(first, stop, stretch is None) for first, stop, stretch in plan.steps],
+                    [stretches.index(stretch) for stretch in stretches])
+
+        rep = _Plan(Circuit.repeated(3, head, body, times))
+        assert shape(rep) == shape(_Plan(Circuit(3, head + body * times)))
+        assert len(set(shape(rep)[1])) == (1 if times == 0 else 3)
+
     @pytest.mark.parametrize("name", SITE_CIRCUITS)
     def test_steps_cover_the_gates_and_stretches_are_maximal(self, name):
         circuit = SITE_CIRCUITS[name]

@@ -99,6 +99,12 @@ class TestCircuit:
     def test_counts_tally_by_arity(self):
         c = Circuit(3, (h(0), idle(1), t(2), cz(0, 1), cnot(1, 2)))
         assert c.counts() == OpCounts(1, 2, 2)
+        # repeated objects count once per use, as Python ints
+        pair = cnot(0, 1)
+        counts = Circuit(2, (pair, h(0), pair, pair)).counts()
+        assert counts == OpCounts(0, 1, 3)
+        assert [type(v) for v in (counts.n0, counts.n1, counts.n2)] == [int, int, int]
+        assert Circuit(2, ()).counts() == OpCounts(0, 0, 0)
 
     def test_register_bounds_checked(self):
         with pytest.raises(BadTargetError):
@@ -115,6 +121,35 @@ class TestCircuit:
             Circuit(2, (good, good, pair, outside, good, outside))
         with pytest.raises(TypeError, match=r"^gates\[4\] is not a Gate"):
             Circuit(2, (good, pair, good, pair, "H 0", good))
+
+    @pytest.mark.parametrize("times", [0, 1, 2, 5])
+    def test_repeated_equals_the_flat_circuit(self, times):
+        """``Circuit.repeated`` numbers one copy of the body and tiles its
+        codes; every field equals the flat circuit's, equal-valued but
+        distinct objects keep their own numbers."""
+        turn = rz(1, 0.3)
+        head = (h(0), h(1), x(2))
+        body = (x(2), cnot(0, 1), turn, cnot(0, 1), head[0], turn, rz(1, 0.3), cz(1, 2))
+        flat = Circuit(3, head + body * times)
+        rep = Circuit.repeated(3, head, body, times)
+        assert rep == flat and rep.n_qubits == flat.n_qubits
+        assert len(rep.gates) == len(head) + times * len(body)
+        assert all(a is b for a, b in zip(rep.gates, flat.gates, strict=True))
+        assert all(a is b for a, b in zip(rep.distinct, flat.distinct, strict=True))
+        assert rep.code.dtype == flat.code.dtype and np.array_equal(rep.code, flat.code)
+        assert all(rep.distinct[c] is gate for c, gate in zip(rep.code.tolist(), rep.gates))
+        assert len(rep.distinct) == (3 if times == 0 else 9)
+
+    def test_repeated_names_a_bad_gate_by_its_first_index(self):
+        good, pair = h(0), cnot(0, 1)
+        with pytest.raises(BadTargetError, match=r"^gates\[1\] \(X\) targets \(2,\)"):
+            Circuit.repeated(2, (good, x(2), good), (pair, x(3)), 3)
+        with pytest.raises(BadTargetError, match=r"^gates\[4\] \(CZ\)"):
+            Circuit.repeated(2, (good, pair), (good, pair, cz(0, 2), good), 4)
+        with pytest.raises(TypeError, match=r"^gates\[3\] is not a Gate"):
+            Circuit.repeated(2, (good,), (pair, good, "H 0"), 2)
+        # a body repeated no times holds no gate to check
+        assert Circuit.repeated(2, (good,), (x(2),), 0) == Circuit(2, (good,))
 
     def test_size_limits(self):
         with pytest.raises(ValueError):

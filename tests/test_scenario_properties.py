@@ -3,7 +3,9 @@
 Every ``qfeas estimate`` run ends in a verdict (exit 0, 2 or 3) with
 strict JSON on stdout, or in exit 1 with one ``qfeas: error:`` line on
 stderr.  The exit code does not depend on ``--format``, and no exception
-escapes ``main``.  A generated ``simulation`` block, and the
+escapes ``main``.  A small ``qfeas simulate`` run exits 0 with strict
+JSON that a rerun repeats byte for byte, or exits 1 with one
+``qfeas: error:`` line.  A generated ``simulation`` block, and the
 ``--seed``/``--trajectories`` overrides applied with
 ``dataclasses.replace``, either fail to parse or give settings that hold
 every invariant of ``SimulationSettings``.  Beside the freely generated
@@ -228,6 +230,56 @@ def test_estimate_output_contract_is_total(scenario_path, text):
 @given(data=st.data())
 def test_one_faulty_key_still_meets_the_output_contract(scenario_path, name, key, data):
     _check_output_contract(scenario_path, data.draw(one_fault_scenarios(name, key)))
+
+
+#: Rates at both ends and in between, and the smallest that still fires.
+SMALL_RATES = st.sampled_from([0.0, 1.0e-300, 0.5, 1.0])
+
+
+@st.composite
+def small_simulations(draw):
+    """A scenario whose small ``simulation`` block is cheap to run: up to
+    6 qubits, depths up to 8, up to 50 trajectories, every rate drawn
+    from ``SMALL_RATES``, with or without ``fit``, 0 to 3 iterations."""
+    kind = draw(st.sampled_from(["random", "grover"]))
+    qubits = draw(st.integers(2 if kind == "random" else 1, 6))
+    block = {"kind": kind, "qubits": qubits, "trajectories": draw(st.integers(1, 50)),
+             "seed": draw(st.integers(0, 2 ** 64)),
+             "noise": {c: draw(SMALL_RATES) for c in ("eps0", "eps1", "eps2")}}
+    if kind == "random":
+        block["depths"] = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            block["fit"] = draw(st.lists(st.sampled_from(CHANNELS), min_size=1, max_size=3))
+    else:
+        block["iterations"] = draw(st.integers(0, 3))
+        block["marked"] = draw(st.text("01", min_size=qubits, max_size=qubits))
+    return yaml.safe_dump({"hardware": "sc-2020", "algorithm": {"kind": "shor", "size": 2048},
+                           "simulation": block})
+
+
+def _simulate(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", str(path), "--format", "machine"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=small_simulations())
+def test_simulate_output_contract_is_total(scenario_path, text):
+    """Each run exits 0 with strict JSON and the same bytes on a rerun, or
+    exits 1 with one ``qfeas: error:`` line."""
+    scenario_path.write_text(text, encoding="utf-8")
+    code, out, err = _simulate(scenario_path)
+    if code == 1:
+        assert out == ""
+        assert err.startswith("qfeas: error: ") and err.count("\n") == 1, err
+        assert err.removeprefix("qfeas: error: ").strip(), err
+        return
+    assert code == 0 and err == "", (code, err)
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["command"] == "simulate"
+    assert _simulate(scenario_path) == (0, out, "")
 
 
 def _check_invariants(sim):
