@@ -13,11 +13,11 @@ information-throughput bounds built on top of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import (
     HardwareProfile,
     OpCounts,
+    Record,
     log_fidelity,
     required_error_rate,
 )
@@ -56,8 +56,7 @@ def _as_count(value: int | float, factor: float | None = None) -> int | float:
         raise ValueError(_BEYOND_FLOAT_RANGE) from None
 
 
-@dataclass(frozen=True)
-class AlgorithmSpec:
+class AlgorithmSpec(Record):
     """One algorithm instance to be costed.
 
     ``size_n`` is bits for shor, search-register qubits for grover,
@@ -94,8 +93,7 @@ class AlgorithmSpec:
             raise ValueError("routing_overhead must be >= 1")
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record):
     """Outcome of costing one algorithm against one hardware profile."""
 
     two_qubit_count: int | float

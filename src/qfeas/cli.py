@@ -22,7 +22,6 @@ it: ``estimate`` and ``presets`` stay numpy-free.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -305,8 +304,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                  if (value := getattr(args, key)) is not None}
     if scenario.simulation is not None and overrides:
         # SimulationSettings checks the overrides as it checks the file's keys
-        scenario = dataclasses.replace(scenario, simulation=dataclasses.replace(
-            scenario.simulation, **overrides))
+        scenario = scenario.replace(simulation=scenario.simulation.replace(**overrides))
     doc = run_simulate(scenario)
     _emit(doc, args, _simulate_table)
     return 0

@@ -7,11 +7,10 @@ section of the ``qfeas estimate`` document.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .algorithms import AlgorithmSpec, assess, logical_qubit_count
-from .model import HardwareProfile, LogProbability
+from .model import HardwareProfile, LogProbability, Record
 from .qec import (
     AboveThresholdError,
     FloorUnreachableError,
@@ -36,8 +35,7 @@ OPS_PER_BIT = 1
 FEASIBLE_LINES_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class CryoProfile:
+class CryoProfile(Record):
     """Dilution-refrigerator budget: cooling power at base temperature
     and the electricity one fridge draws."""
 

@@ -15,10 +15,99 @@ the (possibly underflowed) probability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 #: Channel names, in the order (N0, N1, N2) / (eps0, eps1, eps2).
 CHANNELS = ("idle", "one_qubit", "two_qubit")
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields as class annotations, in order, and gives
+    a default as a class attribute; no field without a default may follow
+    one with a default.  It gets what a frozen dataclass would give:
+    positional and keyword construction followed by ``__post_init__``
+    (which may still set fields with ``object.__setattr__``), assignment
+    and deletion refused with AttributeError, equality by exact class and
+    field values with a matching hash, the ``Cls(name=value, ...)`` repr,
+    and :meth:`replace`.  ``_fields`` and ``_field_defaults`` hold the
+    field names and the defaults, as on a namedtuple.  Unlike
+    ``dataclasses``, nothing is compiled per class, so importing the
+    package stays cheap.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _field_defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._field_defaults = {name: getattr(cls, name) for name in fields
+                               if name in cls.__dict__}
+        cls._field_set = frozenset(fields)
+        # not a function, so instances read it unbound: self._values(self)
+        cls._values = attrgetter(*fields)
+        required = [name for name in fields if name not in cls._field_defaults]
+        if fields[:len(required)] != tuple(required):
+            raise TypeError(f"{cls.__qualname__}: a field without a default "
+                            "follows one with a default")
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            values = {**self._field_defaults, **dict(zip(fields, args)), **kwargs}
+            if (len(args) > len(fields) or values.keys() != self._field_set
+                    or not kwargs.keys().isdisjoint(fields[:len(args)])):
+                raise TypeError(_call_error(type(self), args, kwargs))
+            self.__dict__.update(values)
+        else:
+            self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate and normalise the fields; records without checks keep this."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, built and checked anew."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields},
+                             **changes})
+
+
+def _call_error(cls: type, args: tuple, kwargs: dict) -> str:
+    """Why ``cls(*args, **kwargs)`` does not bind its fields, worded as
+    Python words a bad call."""
+    where = f"{cls.__qualname__}.__init__()"
+    fields = cls._fields
+    if len(args) > len(fields):
+        return (f"{where} takes {len(fields)} positional arguments "
+                f"but {len(args)} were given")
+    for name in kwargs:
+        if name not in fields:
+            return f"{where} got an unexpected keyword argument {name!r}"
+        if name in fields[:len(args)]:
+            return f"{where} got multiple values for argument {name!r}"
+    missing = [name for name in fields[len(args):]
+               if name not in kwargs and name not in cls._field_defaults]
+    return f"{where} missing required arguments {missing}"
 
 
 class ZeroCountError(ValueError):
@@ -59,8 +148,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(Record):
     """Per-operation error probabilities for the three channels.
 
     ``eps0`` applies per idle slot (one qubit sitting for one time
@@ -83,8 +171,7 @@ class ErrorBudget:
         return (self.eps0, self.eps1, self.eps2)[_channel_index(channel)]
 
 
-@dataclass(frozen=True)
-class OpCounts:
+class OpCounts(Record):
     """Operation tallies (N0 idle slots, N1 one-qubit, N2 two-qubit).
 
     Python integers keep counts exact at any size; floats are accepted
@@ -116,8 +203,7 @@ class OpCounts:
         return self.n0 + self.n1 + self.n2
 
 
-@dataclass(frozen=True)
-class HardwareProfile:
+class HardwareProfile(Record):
     """Physical platform parameters used across the estimator.
 
     Times are seconds, areas m^2, dissipation watts.
@@ -146,8 +232,7 @@ class HardwareProfile:
         _check_count("dissipation_per_qubit", self.dissipation_per_qubit)
 
 
-@dataclass(frozen=True)
-class LogProbability:
+class LogProbability(Record):
     """A probability carried by its natural log.
 
     ``value`` underflows to 0.0 below roughly exp(-745); the log value

@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+from .model import Record
 
 
 class AboveThresholdError(ValueError):
@@ -55,8 +56,7 @@ class FloorUnreachableError(ValueError):
     """No code size within range reaches the requested logical error."""
 
 
-@dataclass(frozen=True)
-class QecCode:
+class QecCode(Record):
     """Code family parameters and overhead multipliers.
 
     ``eps_nc`` is the non-correctable error rate per physical qubit per

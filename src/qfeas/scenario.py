@@ -24,14 +24,13 @@ Example::
 from __future__ import annotations
 
 import sys
-from dataclasses import MISSING, dataclass, fields
 from functools import cache
 
 import yaml
 
 from .algorithms import AlgorithmSpec
 from .engineering import CryoProfile
-from .model import CHANNELS, ErrorBudget, HardwareProfile
+from .model import CHANNELS, ErrorBudget, HardwareProfile, Record
 from .presets import get_preset
 from .qec import QecCode
 from .sim import MAX_QUBITS, check_marked, optimal_iterations
@@ -59,8 +58,7 @@ _KIND_FIELDS = {"random": ("depths", "pairs_per_layer", "fit_channels"),
 _OTHER_KIND = {"random": "grover", "grover": "random"}
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
+class SimulationSettings(Record):
     """The optional ``simulation`` block, fully resolved.
 
     ``kind`` is "random" (benchmarking circuits at each depth in
@@ -122,8 +120,7 @@ class SimulationSettings:
         check_marked(qubits, self.marked)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     hardware: HardwareProfile
     algorithm: AlgorithmSpec
     qec: QecCode
@@ -131,29 +128,23 @@ class Scenario:
     simulation: SimulationSettings | None
 
 
-#: Where a scenario key is not the dataclass field it sets.
+#: Where a scenario key is not the record field it sets.
 _ALIASES = {"size_n": "size", "fit_channels": "fit"}
 #: Keys whose value must be an integer; every other field key takes a
-#: number, except ``kind``, which its dataclass checks against its kinds.
+#: number, except ``kind``, which its record checks against its kinds.
 _INTEGER_KEYS = ("nc_max", "size", "qubits", "trajectories", "seed",
                  "pairs_per_layer", "iterations")
 
 
-@cache  # fields() is slow; one entry per schema dataclass
-def _field_keys(cls) -> tuple[tuple[str, str], ...]:
-    """(field name, scenario key) for each field of a dataclass, in order."""
-    return tuple((f.name, _ALIASES.get(f.name, f.name)) for f in fields(cls))
+@cache  # one entry per schema record
+def _field_keys(cls: type[Record]) -> tuple[tuple[str, str], ...]:
+    """(field name, scenario key) for each field of a record, in order."""
+    return tuple((name, _ALIASES.get(name, name)) for name in cls._fields)
 
 
 @cache
 def _section_keys(cls) -> tuple[str, ...]:
     return tuple(key for _, key in _field_keys(cls))
-
-
-@cache
-def _required_fields(cls) -> frozenset[str]:
-    return frozenset(f.name for f in fields(cls)
-                     if f.default is MISSING and f.default_factory is MISSING)
 
 
 _NOISE_KEYS = _section_keys(ErrorBudget)
@@ -237,7 +228,7 @@ def _parse_section(node: object, cls, path: str, **checked):
             elif key != "kind":
                 value = _number(value, f"{path}.{key}")
             checked[name] = value
-        elif name in _required_fields(cls):
+        elif name not in cls._field_defaults:
             raise ScenarioValidationError(f"{path}.{key} is required")
     return _build(cls, path, **checked)
 
@@ -327,9 +318,9 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _echo(obj) -> dict:
-    """Plain data of a dataclass under its scenario keys.  Fields hold
+    """Plain data of a record under its scenario keys.  Fields hold
     numbers, strings, tuples (echoed as lists), None (left out) or
-    further such dataclasses (echoed as mappings)."""
+    further such records (echoed as mappings)."""
     doc = {}
     for name, key in _field_keys(type(obj)):
         value = getattr(obj, name)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
-from ..model import OpCounts
+from ..model import OpCounts, Record
 from . import MAX_QUBITS
 from .gates import (
     CHANNEL_OF_KIND,
@@ -34,8 +33,7 @@ from .gates import (
 )
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(Record):
     """An n-qubit register and the gates applied to it, in order.
 
     The circuit numbers its distinct Gate objects once: ``distinct``
@@ -43,13 +41,12 @@ class Circuit:
     ``distinct`` of gate g's object.  A search circuit repeats a few dozen
     objects (84 on 10 qubits) over about 10^5 gates, so validation, text,
     counts and the engine's plan work per distinct object and spread
-    their results by ``code``.
+    their results by ``code``.  Both are set by ``__post_init__`` and are
+    not fields: they take no part in construction, equality or repr.
     """
 
     n_qubits: int
-    gates: tuple[Gate, ...] = field(default_factory=tuple)
-    distinct: tuple[Gate, ...] = field(init=False, repr=False, compare=False)
-    code: np.ndarray = field(init=False, repr=False, compare=False)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_qubits, int) or isinstance(self.n_qubits, bool):

@@ -122,12 +122,11 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from ..model import ErrorBudget
+from ..model import ErrorBudget, Record
 from .circuit import Circuit
 from .gates import _SQ2, _T_PHASE, Gate
 
@@ -145,8 +144,7 @@ PAULI_PAIRS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Stochastic Pauli insertion driven by an :class:`ErrorBudget`."""
 
     budget: ErrorBudget
@@ -255,15 +253,18 @@ def _paulis(rng: np.random.Generator, targets: tuple[int, ...]) -> tuple[Gate, .
     return _pauli_gates(targets, int(rng.integers(0, 15 if len(targets) == 2 else 3)))
 
 
-@dataclass(frozen=True, eq=False)
-class _Sites:
+class _Sites(Record):
     """A circuit's insertion sites, in circuit order: site s is gate
     ``index[s]`` of ``gates``, which fires at ``rate[s]``.  Zero-rate
-    channels contribute none."""
+    channels contribute none.  Its fields are arrays, so it compares and
+    hashes by identity."""
 
     index: np.ndarray
     rate: np.ndarray
     gates: tuple[Gate, ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __len__(self) -> int:
         return self.index.size

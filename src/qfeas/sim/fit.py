@@ -10,20 +10,18 @@ exact and the standard errors are reported as 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..model import CHANNELS, OpCounts
+from ..model import CHANNELS, OpCounts, Record
 
 
 class RankDeficientError(ValueError):
     """The observations cannot separate the requested channels."""
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Fitted rates per channel with their standard errors.
 
     Rates are raw regression output: statistical noise can pull an

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+
+from ..model import Record
 
 ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "S", "T", "RZ", "RX", "IDLE")
 TWO_QUBIT_KINDS = ("CZ", "CNOT")
@@ -28,8 +29,7 @@ class BadTargetError(ValueError):
     """Gate targets out of range, repeated, or otherwise unusable."""
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(Record):
     """One circuit operation: a kind, its target wires, an angle if any."""
 
     kind: str

@@ -1,7 +1,6 @@
 """Syndrome bandwidth, decoder load, yield, area, cryogenics, wiring, and the
 stacked report that chains them behind one verdict."""
 
-import dataclasses
 import json
 import math
 
@@ -180,15 +179,15 @@ class TestFullStackReport:
         assert any("lines" in n for n in report["notes"])
 
     def test_yield_note_on_underflow(self):
-        hw = dataclasses.replace(_clean_hardware(1e-3), yield_p=0.9)
+        hw = _clean_hardware(1e-3).replace(yield_p=0.9)
         report = full_stack_report(AlgorithmSpec("shor", 2048), hw, QecCode(), CryoProfile())
         assert report["yield"]["underflowed"]
         assert any("yield" in n.lower() for n in report["notes"])
 
     @pytest.mark.parametrize("hw", [
         get_preset("sc-2020"),
-        dataclasses.replace(_clean_hardware(1e-3), yield_p=0.9),  # the yield underflows
-        dataclasses.replace(get_preset("sc-2020"), yield_p=0.0),  # log yield is -inf
+        _clean_hardware(1e-3).replace(yield_p=0.9),  # the yield underflows
+        get_preset("sc-2020").replace(yield_p=0.0),  # log yield is -inf
     ], ids=["sc-2020", "yield-underflow", "zero-yield"])
     def test_is_the_documents_scaling_section(self, hw):
         report = full_stack_report(AlgorithmSpec("shor", 2048), hw, QecCode(), CryoProfile())

@@ -1,6 +1,5 @@
 """Hardware presets and the strict-schema scenario files."""
 
-import dataclasses
 import sys
 
 import pytest
@@ -267,7 +266,7 @@ class TestSimulationSettings:
     def test_replace_checks_every_invariant(self, changes, message):
         sim = SimulationSettings(kind="random", qubits=4, noise=ErrorBudget(), depths=(5,))
         with pytest.raises(ValueError, match=message):
-            dataclasses.replace(sim, **changes)
+            sim.replace(**changes)
 
 
 class TestRoundTrip:

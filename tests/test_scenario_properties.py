@@ -7,14 +7,13 @@ escapes ``main``.  A small ``qfeas simulate`` run exits 0 with strict
 JSON that a rerun repeats byte for byte, or exits 1 with one
 ``qfeas: error:`` line.  A generated ``simulation`` block, and the
 ``--seed``/``--trajectories`` overrides applied with
-``dataclasses.replace``, either fail to parse or give settings that hold
+``SimulationSettings.replace``, either fail to parse or give settings that hold
 every invariant of ``SimulationSettings``.  Beside the freely generated
 scenarios, each key is also corrupted alone in an otherwise valid
 scenario, so that checks late in the run are reached too.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 
@@ -333,10 +332,10 @@ def test_simulation_settings_hold_their_invariants(block, seed, trajectories):
             assert sim.iterations == block["iterations"]
 
     try:
-        again = dataclasses.replace(sim, seed=seed, trajectories=trajectories)
+        again = sim.replace(seed=seed, trajectories=trajectories)
     except ValueError:
         assert seed < 0 or trajectories < 1
         return
     _check_invariants(again)
     assert (again.seed, again.trajectories) == (seed, trajectories)
-    assert dataclasses.replace(again, seed=sim.seed, trajectories=sim.trajectories) == sim
+    assert again.replace(seed=sim.seed, trajectories=sim.trajectories) == sim
