@@ -82,12 +82,6 @@ def run_estimate(scenario: Scenario) -> dict:
     return doc
 
 
-def _auto_fit_channels(sim: SimulationSettings) -> tuple[str, ...]:
-    if sim.fit_channels is not None:
-        return sim.fit_channels
-    return tuple(c for c in CHANNELS if sim.noise.rate(c) > 0.0)
-
-
 def _fit_dict(result: FitResult) -> dict:
     return {
         "channels": list(result.channels),
@@ -102,7 +96,7 @@ def _fit_dict(result: FitResult) -> dict:
 def _simulate_random(sim: SimulationSettings) -> dict:
     from .sim.circuit import random_circuit
     from .sim.engine import NoiseModel, estimate_fidelity
-    from .sim.fit import design_matrix, fit_error_rates
+    from .sim.fit import RankDeficientError, design_matrix, fit_error_rates
 
     noise = NoiseModel(sim.noise)
     # Trajectory seed blocks come first (one block of `trajectories`
@@ -110,16 +104,20 @@ def _simulate_random(sim: SimulationSettings) -> dict:
     topo_base = sim.seed + len(sim.depths) * sim.trajectories
     circuits = [random_circuit(sim.qubits, depth, topo_base + j, sim.pairs_per_layer)
                 for j, depth in enumerate(sim.depths)]
-    channels = _auto_fit_channels(sim)
-    if channels and len(circuits) >= 2:
+    tallies = [circuit.counts() for circuit in circuits]
+    channels = sim.fit_channels
+    if channels is None:
+        # by default, the channels that inject errors into some circuit
+        channels = tuple(c for c in CHANNELS if sim.noise.rate(c) > 0.0
+                         and any(counts.count(c) for counts in tallies))
+    elif len(circuits) >= 2:
         # a fit these counts cannot separate fails before any trajectory runs
-        design_matrix([circuit.counts() for circuit in circuits], channels)
+        design_matrix(tallies, channels)
     rows = []
     observations: list[tuple[OpCounts, float]] = []
-    for j, (depth, circuit) in enumerate(zip(sim.depths, circuits)):
+    for j, (depth, circuit, counts) in enumerate(zip(sim.depths, circuits, tallies)):
         estimate = estimate_fidelity(circuit, noise, sim.trajectories,
                                      sim.seed + j * sim.trajectories)
-        counts = circuit.counts()
         log_mean = math.log(estimate.mean) if estimate.mean > 0.0 else None
         if log_mean is not None:
             observations.append((counts, log_mean))
@@ -131,13 +129,19 @@ def _simulate_random(sim: SimulationSettings) -> dict:
             "std_error": estimate.std_error,
             "log_mean_fidelity": log_mean,
         })
-    doc: dict = {"kind": "random", "circuits": rows}
+    doc: dict = {"kind": "random", "circuits": rows, "fit": None}
     if channels and len(observations) >= 2:
-        result = fit_error_rates(observations, channels)
-        doc["fit"] = _fit_dict(result)
-        doc["fit"]["injected"] = {c: sim.noise.rate(c) for c in result.channels}
-    else:
-        doc["fit"] = None
+        try:
+            result = fit_error_rates(observations, channels)
+        except RankDeficientError:
+            if sim.fit_channels is not None:
+                raise
+            # a random circuit's N1 and N2 both grow with its depth alone
+            doc["fit_skipped"] = (f"the counts do not separate channels {channels}; "
+                                  "name the channels to fit with the fit key")
+        else:
+            doc["fit"] = _fit_dict(result)
+            doc["fit"]["injected"] = {c: sim.noise.rate(c) for c in result.channels}
     return doc
 
 
@@ -216,7 +220,9 @@ def _simulate_table(doc: dict) -> str:
             lines.append(
                 f"{row['depth']:<6} {c['n0']:<3} {c['n1']:<5} {c['n2']:<5} "
                 f"{row['mean_fidelity']:<14.6g} {row['std_error']:.3g}")
-        if sim["fit"] is None:
+        if "fit_skipped" in sim:
+            lines.append(f"fit              skipped ({sim['fit_skipped']})")
+        elif sim["fit"] is None:
             lines.append("fit              skipped (fewer than 2 usable points "
                          "or no channel selected)")
         else:

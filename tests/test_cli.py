@@ -212,19 +212,47 @@ class TestSimulateCommand:
     def test_inseparable_fit_fails_before_any_trajectory(self, tmp_path, capsys,
                                                          monkeypatch, hardware, noise,
                                                          channels):
-        # random circuits have no idle gates, and N1/N2 is the same at every depth
+        # random circuits have no idle gates, and N1/N2 is the same at every
+        # depth; the fit names the channels of the message
         def no_run(*args):
             raise AssertionError("ran trajectories for a fit that cannot work")
         monkeypatch.setattr("qfeas.sim.engine.estimate_fidelity", no_run)
+        fit = channels.strip("()").replace("'", "")
         text = (f"hardware: {hardware}\nalgorithm: {{kind: shor, size: 16}}\n"
                 "simulation: {kind: random, qubits: 6, depths: [25, 50, 100, 200], "
-                f"trajectories: 1000{noise}}}\n")
+                f"trajectories: 1000{noise}, fit: [{fit}]}}\n")
         assert main(["simulate", write(tmp_path, "n.yaml", text)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"qfeas: error: observation counts do not separate "
                                 f"channels {channels}; vary the per-channel counts "
                                 "independently\n")
+
+    @pytest.mark.parametrize("hardware, noise, channels, skipped", [
+        # N1 and N2 grow together with depth: no fit, and the reason why
+        ("best-2023", "", None, "('one_qubit', 'two_qubit')"),
+        # a random circuit holds no IDLE gate, so eps0 is never fit
+        ("sc-2020", ", noise: {eps0: 1.0e-3, eps2: 5.0e-3}", ["two_qubit"], None),
+        ("sc-2020", ", noise: {eps0: 0.5}", None, None),
+    ])
+    def test_default_fit_keeps_the_channels_the_counts_separate(self, tmp_path, capsys,
+                                                                hardware, noise, channels,
+                                                                skipped):
+        text = (f"hardware: {hardware}\nalgorithm: {{kind: shor, size: 16}}\n"
+                "simulation: {kind: random, qubits: 4, depths: [5, 10], "
+                f"trajectories: 20{noise}}}\n")
+        path = write(tmp_path, "n.yaml", text)
+        code, doc = machine(capsys, ["simulate", path])
+        assert code == 0
+        sim = doc["simulation"]
+        assert (sim["fit"] and sim["fit"]["channels"]) == channels
+        reason = skipped and (f"the counts do not separate channels {skipped}; "
+                              "name the channels to fit with the fit key")
+        assert sim.get("fit_skipped") == reason
+        assert main(["simulate", path]) == 0
+        fit_line = capsys.readouterr().out.splitlines()[-1]
+        if reason:
+            assert fit_line == f"fit              skipped ({reason})"
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         path = write(tmp_path, "n.yaml", SIM_RANDOM)
@@ -415,12 +443,13 @@ class TestEntryPoint:
             "from qfeas.cli import main\n"
             f"codes = main(['estimate', {write(tmp_path, 's.yaml', SHOR_2048)!r}]), "
             "main(['presets'])\n"
-            "print(codes, 'numpy' in sys.modules)\n")
+            "print(codes, 'numpy' in sys.modules, 'dataclasses' in sys.modules, "
+            "'inspect' in sys.modules)\n")
         src = str(Path(qfeas.__file__).parents[1])
         result = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                 text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert result.stderr == ""
-        assert result.stdout.splitlines()[-1] == "(2, 0) False"
+        assert result.stdout.splitlines()[-1] == "(2, 0) False False False"
 
     def test_absorbed_floor_search_ends(self, tmp_path):
         # eps2 one ulp below threshold, and a floor term that rounds away at

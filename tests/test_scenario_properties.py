@@ -265,15 +265,24 @@ def _simulate(path):
 
 @settings(max_examples=300, deadline=None)
 @given(text=small_simulations())
+# with no fit key, N1 and N2 grow together (it once exited 1 on separation)
+@example(text="hardware: best-2023\nalgorithm: {kind: shor, size: 2048}\n"
+              "simulation: {kind: random, qubits: 4, depths: [5, 10]}\n")
+# with no fit key, eps0 alone (a random circuit holds no IDLE gate)
+@example(text="hardware: sc-2020\nalgorithm: {kind: shor, size: 2048}\n"
+              "simulation: {kind: random, qubits: 3, depths: [2, 4], "
+              "noise: {eps0: 0.5}, trajectories: 20}\n")
 def test_simulate_output_contract_is_total(scenario_path, text):
     """Each run exits 0 with strict JSON and the same bytes on a rerun, or
-    exits 1 with one ``qfeas: error:`` line."""
+    exits 1 with one ``qfeas: error:`` line; a run whose block has no
+    ``fit`` key never exits 1 because the counts do not separate channels."""
     scenario_path.write_text(text, encoding="utf-8")
     code, out, err = _simulate(scenario_path)
     if code == 1:
         assert out == ""
         assert err.startswith("qfeas: error: ") and err.count("\n") == 1, err
         assert err.removeprefix("qfeas: error: ").strip(), err
+        assert "fit" in yaml.safe_load(text)["simulation"] or "separate" not in err, err
         return
     assert code == 0 and err == "", (code, err)
     doc = json.loads(out, parse_constant=_reject_constant)
