@@ -25,8 +25,7 @@ class Record:
     """Base of the package's immutable value types.
 
     A subclass lists its fields as class annotations, in order, and gives
-    a default as a class attribute; no field without a default may follow
-    one with a default.  It gets what a frozen dataclass would give:
+    a default as a class attribute.  It gets what a frozen dataclass gave:
     positional and keyword construction followed by ``__post_init__``
     (which may still set fields with ``object.__setattr__``), assignment
     and deletion refused with AttributeError, equality by exact class and
@@ -48,10 +47,6 @@ class Record:
         cls._field_set = frozenset(fields)
         # not a function, so instances read it unbound: self._values(self)
         cls._values = attrgetter(*fields)
-        required = [name for name in fields if name not in cls._field_defaults]
-        if fields[:len(required)] != tuple(required):
-            raise TypeError(f"{cls.__qualname__}: a field without a default "
-                            "follows one with a default")
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
@@ -59,7 +54,9 @@ class Record:
             values = {**self._field_defaults, **dict(zip(fields, args)), **kwargs}
             if (len(args) > len(fields) or values.keys() != self._field_set
                     or not kwargs.keys().isdisjoint(fields[:len(args)])):
-                raise TypeError(_call_error(type(self), args, kwargs))
+                raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                                f"{', '.join(fields)}; got {len(args)} positional "
+                                f"arguments and the keywords {list(kwargs)}")
             self.__dict__.update(values)
         else:
             self.__dict__.update(zip(fields, args))
@@ -90,24 +87,6 @@ class Record:
         """A copy with ``changes`` applied, built and checked anew."""
         return type(self)(**{**{name: getattr(self, name) for name in self._fields},
                              **changes})
-
-
-def _call_error(cls: type, args: tuple, kwargs: dict) -> str:
-    """Why ``cls(*args, **kwargs)`` does not bind its fields, worded as
-    Python words a bad call."""
-    where = f"{cls.__qualname__}.__init__()"
-    fields = cls._fields
-    if len(args) > len(fields):
-        return (f"{where} takes {len(fields)} positional arguments "
-                f"but {len(args)} were given")
-    for name in kwargs:
-        if name not in fields:
-            return f"{where} got an unexpected keyword argument {name!r}"
-        if name in fields[:len(args)]:
-            return f"{where} got multiple values for argument {name!r}"
-    missing = [name for name in fields[len(args):]
-               if name not in kwargs and name not in cls._field_defaults]
-    return f"{where} missing required arguments {missing}"
 
 
 class ZeroCountError(ValueError):

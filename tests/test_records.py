@@ -100,17 +100,15 @@ def test_record_semantics(cls):
     assert record != tuple(values.values())
     assert record.__eq__(tuple(values.values())) is NotImplemented
     # a missing, unknown, repeated or surplus argument
-    required = [name for name in cls._fields if name not in cls._field_defaults]
+    required = {name: values[name] for name in cls._fields if name not in cls._field_defaults}
+    calls = [((), {**values, "bogus": 1}), ((values[first],), values),
+             ((*values.values(), None), {})]
     if required:
-        with pytest.raises(TypeError, match=rf"missing required arguments \['{required[-1]}'\]"):
-            cls(**{name: values[name] for name in required[:-1]})
-    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
-        cls(**values, bogus=1)
-    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
-        cls(values[first], **values)
-    with pytest.raises(TypeError, match="positional arguments"):
-        cls(*values.values(), None)
-    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        calls.append(((), dict(list(required.items())[:-1])))
+    for args, kwargs in calls:
+        with pytest.raises(TypeError, match=rf"^{cls.__qualname__}\(\) takes the fields "):
+            cls(*args, **kwargs)
+    with pytest.raises(TypeError, match=r"'bogus'\]$"):
         record.replace(bogus=1)
 
 
@@ -138,8 +136,3 @@ def test_replace_validates_again():
 def test_post_init_normalises_the_fields():
     assert Gate("RX", [3], 1).targets == (3,) and Gate("RX", [3], 1).theta == 1.0
     assert AlgorithmSpec("chemistry", 4).target_fidelity == 0.999
-
-
-def test_a_required_field_may_not_follow_a_default():
-    with pytest.raises(TypeError, match="without a default follows one with a default"):
-        type("Bad", (Record,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})
