@@ -239,10 +239,9 @@ def _simulate_table(doc: dict) -> str:
 
 
 def _presets_table(doc: dict) -> str:
-    lines = ["name       eps1     eps2     t2"]
+    lines = ["name       eps1     eps2"]
     for name, hw in doc["presets"].items():
-        lines.append(f"{name:<10} {hw['eps1']:<8.3g} {hw['eps2']:<8.3g} "
-                     f"{hw['t2']:.3g}")
+        lines.append(f"{name:<10} {hw['eps1']:<8.3g} {hw['eps2']:.3g}")
     return "\n".join(lines)
 
 

@@ -186,26 +186,19 @@ class HardwareProfile(Record):
     """Physical platform parameters used across the estimator.
 
     Times are seconds, areas m^2, dissipation watts.
-    ``time_per_qubit_layer`` is tau, the extra wall-clock time one more
-    qubit adds to a computation; tau/t2 is the prefactor of the
-    quadratic decay exponent a*n^2.
     """
 
     name: str
     budget: ErrorBudget
-    t2: float
-    gate_time_1q: float
     gate_time_2q: float
     cycle_time: float
-    time_per_qubit_layer: float
     yield_p: float
     area_per_qubit: float
     dissipation_per_qubit: float
 
     def __post_init__(self) -> None:
-        for field in ("t2", "gate_time_1q", "gate_time_2q", "cycle_time",
-                      "time_per_qubit_layer"):
-            _check_positive(field, getattr(self, field))
+        _check_positive("gate_time_2q", self.gate_time_2q)
+        _check_positive("cycle_time", self.cycle_time)
         _check_rate("yield_p", self.yield_p)
         _check_count("area_per_qubit", self.area_per_qubit)
         _check_count("dissipation_per_qubit", self.dissipation_per_qubit)

@@ -3,8 +3,9 @@
 Top-level keys: ``hardware`` (preset name, or a mapping; a mapping may
 start from ``preset:`` and override individual fields), ``algorithm``,
 optional ``qec`` and ``cryo`` (defaults apply), optional ``simulation``.
-Unknown keys anywhere are parse errors: a typo must never silently skew
-a feasibility verdict.
+Unknown keys anywhere are parse errors, and so is a key written twice
+in one mapping: a typo must never silently skew a feasibility verdict.
+A key that overrides one merged in with ``<<`` is not a repeat.
 
 Example::
 
@@ -286,10 +287,27 @@ def _parse_simulation(node: object, hardware: HardwareProfile) -> SimulationSett
     return _parse_section(node, SimulationSettings, path, **checked)
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that refuses a key written twice in one mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            # SafeLoader refuses a key that is no scalar as unhashable
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse and fully validate one scenario document."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

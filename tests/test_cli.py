@@ -22,11 +22,8 @@ CHEM_FEASIBLE = """
 hardware:
   name: hypothetical
   eps2: 1.0e-13
-  t2: 1.0e-4
-  gate_time_1q: 1.0e-8
   gate_time_2q: 1.0e-7
   cycle_time: 1.0e-6
-  time_per_qubit_layer: 1.0e-6
   yield_p: 0.99
   area_per_qubit: 1.0e-6
   dissipation_per_qubit: 1.0e-9
@@ -311,6 +308,9 @@ class TestPresetsCommand:
         code, doc = machine(capsys, ["presets"])
         assert code == 0
         assert doc["presets"]["sc-2020"]["eps2"] == 0.001
+        assert set(doc["presets"]["sc-2020"]) == {
+            "eps0", "eps1", "eps2", "gate_time_2q", "cycle_time", "yield_p",
+            "area_per_qubit", "dissipation_per_qubit"}
 
 
 class TestUsageErrors:
@@ -572,11 +572,11 @@ search           n=3 marked=111 iterations=2
 success          0.6397 +/- 0.05662 (noiseless closed form 0.9453)
 """),
     "presets": (["presets"], 0, """\
-name       eps1     eps2     t2
-sc-2009    0        0.1      1e-06
-sc-2014    0        0.01     1e-05
-sc-2020    0        0.001    0.0001
-best-2023  0.0001   0.002    0.0001
+name       eps1     eps2
+sc-2009    0        0.1
+sc-2014    0        0.01
+sc-2020    0        0.001
+best-2023  0.0001   0.002
 """),
     "fit": (["fit", TestFitCommand.DATA], 0, """\
 fitted idle       9.5e-05 (95% CI [5.182e-06, 0.0001848])

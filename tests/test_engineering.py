@@ -119,11 +119,8 @@ def _clean_hardware(eps2):
     return HardwareProfile(
         name="bench",
         budget=ErrorBudget(eps2=eps2),
-        t2=1e-4,
-        gate_time_1q=1e-8,
         gate_time_2q=1e-7,
         cycle_time=1e-6,
-        time_per_qubit_layer=1e-6,
         yield_p=0.99,
         area_per_qubit=1e-6,
         dissipation_per_qubit=1e-9,

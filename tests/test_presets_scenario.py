@@ -30,8 +30,6 @@ class TestPresets:
     def test_error_rates_improve_over_time(self):
         eps2 = [get_preset(n).budget.eps2 for n in ("sc-2009", "sc-2014", "sc-2020")]
         assert eps2 == [0.1, 0.01, 0.001]
-        t2 = [get_preset(n).t2 for n in ("sc-2009", "sc-2014", "sc-2020")]
-        assert t2 == [1e-6, 1e-5, 1e-4]
 
     def test_best_2023_keeps_a_one_qubit_budget(self):
         hw = get_preset("best-2023")
@@ -44,7 +42,7 @@ class TestPresets:
     def test_presets_are_frozen_values(self):
         assert get_preset("sc-2020") == get_preset("sc-2020")
         with pytest.raises(Exception):
-            get_preset("sc-2020").t2 = 1.0
+            get_preset("sc-2020").gate_time_2q = 1.0
 
 
 class TestScenarioParsing:
@@ -61,12 +59,12 @@ class TestScenarioParsing:
 hardware:
   preset: best-2023
   eps2: 5.0e-3
-  t2: 2.0e-4
+  cycle_time: 2.0e-6
 algorithm: {kind: grover, size: 40}
 """)
         assert s.hardware.budget.eps2 == 5e-3
         assert s.hardware.budget.eps1 == 1e-4  # untouched preset value
-        assert s.hardware.t2 == 2e-4
+        assert s.hardware.cycle_time == 2e-6
         assert s.hardware.gate_time_2q == get_preset("best-2023").gate_time_2q
 
     def test_fully_explicit_hardware(self):
@@ -74,11 +72,8 @@ algorithm: {kind: grover, size: 40}
 hardware:
   name: lab-device
   eps2: 3.0e-3
-  t2: 5.0e-5
-  gate_time_1q: 2.0e-8
   gate_time_2q: 2.0e-7
   cycle_time: 1.0e-6
-  time_per_qubit_layer: 1.0e-6
   yield_p: 0.95
   area_per_qubit: 1.0e-6
   dissipation_per_qubit: 1.0e-9
@@ -88,15 +83,41 @@ algorithm: {kind: chemistry, size: 30}
         assert s.hardware.yield_p == 0.95
 
     def test_missing_hardware_field_is_an_error(self):
-        with pytest.raises((ScenarioParseError, ScenarioValidationError), match="t2"):
+        with pytest.raises((ScenarioParseError, ScenarioValidationError), match="gate_time_2q"):
             parse_scenario("""
 hardware: {name: partial, eps2: 1.0e-3}
 algorithm: {kind: shor, size: 16}
 """)
 
-    def test_unknown_key_is_a_parse_error(self):
-        with pytest.raises(ScenarioParseError, match="epsilon3"):
-            parse_scenario(MINIMAL + "qec: {epsilon3: 1.0e-9}\n")
+    @pytest.mark.parametrize("section, key", [
+        ("qec", "epsilon3"),
+        *(("hardware", key) for key in ("t2", "gate_time_1q", "time_per_qubit_layer")),
+    ])
+    def test_unknown_key_is_a_parse_error(self, section, key):
+        doc = {"hardware": {"preset": "sc-2020"}, "algorithm": {"kind": "shor", "size": 2048}}
+        doc.setdefault(section, {})[key] = 1.0e-9
+        with pytest.raises(ScenarioParseError, match=rf"^unknown key '{section}\.{key}';"):
+            parse_scenario(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("text, where, key", [
+        pytest.param(MINIMAL + "hardware: sc-2009\n", "line 4, column 1", "hardware",
+                     id="top-level"),
+        pytest.param("hardware: {preset: sc-2020, eps2: 1.0e-9, eps2: 0.5}\n"
+                     "algorithm: {kind: shor, size: 2048}\n", "line 1, column 43", "eps2",
+                     id="hardware"),
+        pytest.param(MINIMAL + "simulation:\n  kind: random\n  qubits: 4\n  depths: [5]\n"
+                     "  noise:\n    eps2: 1.0e-2\n    eps2: 2.0e-2\n", "line 10, column 5",
+                     "eps2", id="simulation.noise"),
+    ])
+    def test_repeated_key_is_a_parse_error(self, text, where, key):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"bad YAML at {where}: duplicate key {key!r}"
+
+    def test_key_overriding_a_merged_one_is_not_a_repeat(self):
+        s = parse_scenario("hardware: {<<: {preset: sc-2020, eps2: 1.0e-3}, eps2: 1.0e-9}\n"
+                           "algorithm: {kind: shor, size: 2048}\n")
+        assert s.hardware.budget.eps2 == 1e-9
 
     def test_typo_in_nested_block_names_the_path(self):
         with pytest.raises(ScenarioParseError, match="pairs_per_leyer"):
@@ -119,8 +140,8 @@ algorithm: {kind: shor, size: 16}
 
     @pytest.mark.parametrize("section, key", [
         *(("hardware", key) for key in (
-            "eps0", "eps1", "eps2", "t2", "gate_time_1q", "gate_time_2q", "cycle_time",
-            "time_per_qubit_layer", "yield_p", "area_per_qubit", "dissipation_per_qubit")),
+            "eps0", "eps1", "eps2", "gate_time_2q", "cycle_time", "yield_p",
+            "area_per_qubit", "dissipation_per_qubit")),
         *(("qec", key) for key in (
             "eps_nc", "ops_per_logical_gate", "factory_overhead", "correctable_prefactor",
             "floor_prefactor")),
@@ -211,8 +232,9 @@ simulation: {kind: random, qubits: 4, depths: [10]}
 
     @pytest.mark.parametrize("key", ["marked", "trajectories", "seed", "qubits"])
     def test_null_is_rejected(self, key):
+        block = {"kind": "grover", "qubits": 4, key: None}
         with pytest.raises(ScenarioValidationError, match=rf"simulation\.{key} must be a"):
-            parse_scenario(MINIMAL + f"simulation: {{kind: grover, qubits: 4, {key}: null}}\n")
+            parse_scenario(MINIMAL + yaml.safe_dump({"simulation": block}))
 
     def test_unknown_kind_is_named_before_its_keys(self):
         with pytest.raises(ScenarioValidationError, match="kind must be 'random' or 'grover'"):

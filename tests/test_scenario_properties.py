@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st
 from qfeas.cli import main
 from qfeas.model import CHANNELS, ErrorBudget
 from qfeas.presets import PRESETS
-from qfeas.scenario import ScenarioParseError, parse_scenario
+from qfeas.scenario import ScenarioParseError, parse_scenario, scenario_to_dict
 from qfeas.sim import MAX_QUBITS, optimal_iterations
 
 #: Values of the wrong type or sign, drawn in place of a valid one.
@@ -37,8 +37,7 @@ AT_LEAST_ONE = st.floats(min_value=1.0, max_value=1.0e300)
 
 HARDWARE = {
     "eps0": UNIT, "eps1": UNIT, "eps2": UNIT,
-    "t2": HUGE, "gate_time_1q": HUGE, "gate_time_2q": HUGE, "cycle_time": HUGE,
-    "time_per_qubit_layer": HUGE, "yield_p": UNIT,
+    "gate_time_2q": HUGE, "cycle_time": HUGE, "yield_p": UNIT,
     "area_per_qubit": HUGE, "dissipation_per_qubit": HUGE,
 }
 ALGORITHM = {
@@ -76,6 +75,17 @@ SIM_KEYS_BY_KIND = {
                "pairs_per_layer", "fit"),
     "grover": ("qubits", "noise", "trajectories", "seed", "iterations", "marked"),
 }
+
+
+@pytest.mark.parametrize("name", ["hardware", "algorithm", "qec", "cryo"])
+def test_section_strategies_draw_exactly_the_accepted_keys(name):
+    """A key the schema drops must leave its strategy too, or the valid
+    sections drawn with it turn into unknown-key errors."""
+    values = {"hardware": HARDWARE, "algorithm": ALGORITHM, "qec": QEC, "cryo": CRYO}[name]
+    # the hardware echo is hardware_to_dict of the preset: its keys and the name
+    echo = scenario_to_dict(parse_scenario(
+        "hardware: sc-2020\nalgorithm: {kind: shor, size: 2048}\n"))
+    assert set(values) == set(echo[name]) - {"name"}
 
 
 def simulation_values(qubits):
