@@ -168,11 +168,6 @@ class OpCounts(Record):
         _check_count("n1", self.n1)
         _check_count("n2", self.n2)
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        if not isinstance(other, OpCounts):
-            return NotImplemented
-        return OpCounts(self.n0 + other.n0, self.n1 + other.n1, self.n2 + other.n2)
-
     def count(self, channel: str) -> int | float:
         """Count for a named channel from :data:`CHANNELS`."""
         return (self.n0, self.n1, self.n2)[_channel_index(channel)]

@@ -33,37 +33,40 @@ plan is built without a Python loop over the gates: it reads the
 circuit's numbering of its distinct Gate objects (``Circuit.distinct``
 and ``Circuit.code``, made once when the circuit is built), and numpy
 arrays of their kinds, spread by the codes, give each gate's noise
-channel and the stretch edges.  With x the position of an
-amplitude at the start of the stretch, a frame (``_Frame``) holds, as
-Python ints, each qubit's mask m_q, whose parity with x is that qubit's
-current bit, and its column d_q, the x whose current index has qubit q's
-bit alone (column q of the inverse map).  A CNOT(c, t) moves no
-amplitude: it does m_t ^= m_c and d_c ^= d_t.  An RZ(theta) on q adds
--theta/2 to the coefficient of m_q in a dict.  A stretch is flushed
-only where the circuit puts it, after its last gate: each distinct
-dict's phases, sum over m of c[m] * (-1)^parity(m & x), come from one
-Walsh-Hadamard transform of it, then ``exp(1j * angle)`` and one
-multiply of its rows, and one gather moves the amplitude at x to the
-index whose bit q is parity(m_q & x).  Parities are XORs over mask
+channel and the stretch edges.
+
+With x the position of an amplitude at the start of a stretch, each
+qubit q has a mask m_q, whose parity with x is q's current bit, and a
+column d_q, the x whose current index has qubit q's bit alone (column q
+of the inverse map); both are Python ints.  A CNOT(c, t) moves no
+amplitude: it does m_t ^= m_c and d_c ^= d_t.  An RZ(theta) on q
+subtracts theta/2 from the coefficient c[m_q] of the pending phase, sum
+over m of c[m] * (-1)^parity(m & x).  Stretches of the same Gate
+objects, in the same order, share one ``_Stretch``, read once per plan
+in one Python pass: for each RZ in order, its offset, its qubit's mask
+there and its half angle, as arrays, and the final columns.  The
+coefficients are one ``np.subtract.at`` of the half angles into an array
+indexed by mask, so each is 0.0 - half at its mask's first RZ with every
+later half subtracted in order.  Every occurrence of a stretch is
+flushed where the circuit puts it, after its last gate, by the same
+arrays, kept while the next stretch is the same one: one multiply by
+its phase column (one Walsh-Hadamard transform of the coefficients, then
+``exp(1j * angle)``), then one gather that moves the amplitude at x to
+the index whose bit q is parity(m_q & x).  Parities are XORs over mask
 bits, so no popcount is needed.
 
-Stretches of the same Gate objects, in the same order, share one
-``_Stretch``: its gates are walked in a frame once per plan, and the
-masks and coefficients of the dict and the columns are kept, O(gates)
-in all.  Where no row takes an insertion or joins inside a stretch, the
-block applies that stretch's flush, whose phase column and gather
-source are computed at the step and kept only while the next such
-stretch is the same one: the same arrays, so the same bits, as a walk
-of its gates.  A stretch that holds an insertion or a join is walked
-gate by gate in a frame, for that occurrence only.  There an insertion
-or a join acts in the frame, on its own row: Z negates the amplitudes
-where parity(m_q & x) is odd; X moves the amplitude at x to x ^ d_q,
-and the row takes its own copy of the dict with every coefficient whose
-mask has an odd overlap with d_q negated; Y is i X Z.  A joining row is
-a copy of row 0's unflushed amplitudes and shares row 0's dict.  These
-steps are exact, and every rounded step runs at the same points on the
-same values whatever block a row is in, so a row's bits do not depend
-on the other rows of its block.
+Where rows join or take insertions inside a stretch, the block replays
+that occurrence's CNOTs up to each such gate, and an insertion acts
+there on its own row: Z negates the amplitudes where parity(m_q & x) is
+odd; X moves the amplitude at x to x ^ d_q; Y is i X Z.  An X also
+negates, in that row's coefficients, each one already set whose mask has
+an odd overlap with d_q.  So a row that took an X keeps the RZ count and
+the column of each X, and at the flush builds its own coefficients, one
+``np.subtract.at`` segment per X, and multiplies by their phases instead
+of the phase column.  A joining row is a copy of row 0's unflushed
+amplitudes.  These steps are exact, and every rounded step runs at the
+same points on the same values whatever block a row is in, so a row's
+bits do not depend on the other rows of its block.
 
 Every row has the bits of the oracle the tests hold it against,
 ``serial_run`` in ``tests/gate_oracle.py``: it runs one register alone,
@@ -122,7 +125,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -462,20 +465,23 @@ def _xor_span(values: list[int]) -> np.ndarray:
     return a
 
 
-def _phases(n: int, masks, coefficients) -> np.ndarray:
-    """exp(1j * angle) as a 2^n column, angle[x] the sum over k of
-    coefficients[k] * (-1)^parity(masks[k] & x), the masks distinct: one
-    Walsh-Hadamard transform, its butterflies taken from the lowest bit
-    up."""
-    angle = np.zeros(1 << n)
-    angle[masks] = coefficients
+def _odd(n: int, mask: int) -> np.ndarray:
+    """parity(mask & x) for every x below 2^n, as a bool array."""
+    return _xor_span([mask >> p & 1 for p in range(n)]).astype(bool)
+
+
+def _phases(angle: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) as a 2^n array, phase[x] the sum over m of
+    angle[m] * (-1)^parity(m & x): one Walsh-Hadamard transform of
+    ``angle``, which it overwrites, its butterflies taken from the lowest
+    bit up."""
     other = np.empty_like(angle)
-    for p in range(n):
+    for p in range(angle.size.bit_length() - 1):
         a, b = angle.reshape(-1, 2, 1 << p), other.reshape(-1, 2, 1 << p)
         np.add(a[:, 0], a[:, 1], out=b[:, 0])
         np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
         angle, other = other, angle
-    return np.exp(1j * angle)[:, None]
+    return np.exp(1j * angle)
 
 
 def _gather(view: np.ndarray, source: np.ndarray, scratch: np.ndarray) -> None:
@@ -486,110 +492,65 @@ def _gather(view: np.ndarray, source: np.ndarray, scratch: np.ndarray) -> None:
     np.copyto(view, moved)
 
 
-class _Frame:
-    """The phase-polynomial frame of a stretch of CNOT and RZ gates on
-    n >= 2 qubits (see the module docstring).  With x the position of an
-    amplitude at the start of the stretch, qubit q's bit of its logical
-    index is parity(masks[q] & x), and columns[q] is the x whose logical
-    index has qubit q's bit alone.  A row's pending phase at x is the
-    sum over m of c[m] * (-1)^parity(m & x), with c the ``shared``
-    coefficients or, once an X acted on the row inside the stretch, the
-    row's ``own``.  Masks and columns are Python ints, qubit 0 the high
-    bit."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.unit = [1 << (n - 1 - q) for q in range(n)]
-        self.reset()
-
-    def reset(self) -> None:
-        """Start a stretch: the identity map and no phase."""
-        self.masks = self.unit.copy()
-        self.columns = self.unit.copy()
-        self.shared: dict[int, float] = {}
-        self.own: dict[int, dict[int, float]] = {}
-        self.coefficients = [self.shared]  # shared, then every row's own
-
-    def step(self, gate: Gate) -> None:
-        """A CNOT(c, t): m_t ^= m_c and d_c ^= d_t; an RZ(theta) on q:
-        c[m_q] -= theta / 2 in every dict."""
+def _replay(gates: tuple[Gate, ...], masks: list[int], columns: list[int]) -> None:
+    """Apply the CNOTs among ``gates``, part of a stretch in order, to its
+    masks and columns: CNOT(c, t) does m_t ^= m_c and d_c ^= d_t."""
+    for gate in gates:
         if gate.kind == "CNOT":
             control, target = gate.targets
-            self.masks[target] ^= self.masks[control]
-            self.columns[control] ^= self.columns[target]
-            return
-        mask, half = self.masks[gate.targets[0]], gate.theta / 2.0
-        for c in self.coefficients:
-            c[mask] = c.get(mask, 0.0) - half
-
-    def pauli(self, grid: np.ndarray, r: int, gate: Gate, scratch: np.ndarray) -> None:
-        """An X, Y or Z on row r, ``grid[r]`` its 2^n amplitudes, inside
-        the stretch (see the module docstring)."""
-        q, kind, row = gate.targets[0], gate.kind, grid[r]
-        if kind != "X":
-            odd = _xor_span([self.masks[q] >> p & 1 for p in range(self.n)])
-            np.negative(row, out=row, where=odd.astype(bool))
-        if kind != "Z":
-            column = self.columns[q]
-            moved = scratch[:row.size]
-            np.take(row, np.arange(row.size) ^ column, out=moved, mode="clip")
-            row[:] = moved
-            c = self.own.get(r, self.shared)
-            self.own[r] = {m: -v if (m & column).bit_count() & 1 else v
-                           for m, v in c.items()}
-            self.coefficients = [self.shared, *self.own.values()]
-        if kind == "Y":
-            row *= 1j
-
-    def flush(self, view: np.ndarray, grid: np.ndarray, scratch: np.ndarray) -> None:
-        """End the stretch on the joined rows, ``view`` as a (lead, 2^n,
-        trail) view and ``grid[r]`` row r: multiply each row by its
-        coefficients' phases, then gather the amplitude at x to its
-        logical index, and start a new stretch."""
-        if self.shared:
-            phase = _phases(self.n, list(self.shared), list(self.shared.values()))
-            if not self.own:
-                view *= phase
-            else:
-                # row by row through a contiguous copy, as a one-row run
-                # multiplies, whatever the layout's stride
-                row = scratch[:1 << self.n]
-                for r in range(view.size >> self.n):
-                    c = self.own.get(r)
-                    np.copyto(row, grid[r])
-                    factors = phase if c is None else _phases(self.n, list(c), list(c.values()))
-                    row *= factors[:, 0]
-                    grid[r] = row
-        if self.columns != self.unit:
-            # the amplitude for logical index y sits at the XOR of the
-            # columns of y's set bits
-            _gather(view, _xor_span(self.columns[::-1]), scratch)
-        self.reset()
+            masks[target] ^= masks[control]
+            columns[control] ^= columns[target]
 
 
 class _Stretch(NamedTuple):
-    """What a walk of a stretch's gates leaves in a fresh ``_Frame``: the
-    shared dict as its masks and coefficients, in the dict's order, and
-    the columns, None where they are the identity."""
+    """A stretch of CNOT and RZ gates on n >= 2 qubits, read once (see
+    the module docstring): for each RZ in order, its ``offset`` in the
+    stretch, its qubit's ``mask`` there and its ``half`` angle, and the
+    final ``columns``, None where they are the identity."""
 
-    masks: np.ndarray
-    coefficients: np.ndarray
+    offset: np.ndarray
+    mask: np.ndarray
+    half: np.ndarray
     columns: list[int] | None
 
     @classmethod
-    def walk(cls, n: int, gates: tuple[Gate, ...]) -> "_Stretch":
-        frame = _Frame(n)
-        for gate in gates:
-            frame.step(gate)
-        c = frame.shared
-        return cls(np.array(list(c), dtype=np.intp), np.array(list(c.values()), dtype=np.float64),
-                   None if frame.columns == frame.unit else frame.columns)
+    def read(cls, unit: list[int], gates: tuple[Gate, ...]) -> "_Stretch":
+        """One pass over the gates from the identity map ``unit``, with
+        the CNOTs as ``_replay`` applies them."""
+        masks, columns, rz = unit.copy(), unit.copy(), []
+        for j, gate in enumerate(gates):
+            if gate.kind == "CNOT":
+                control, target = gate.targets
+                masks[target] ^= masks[control]
+                columns[control] ^= columns[target]
+            else:
+                rz.append((j, masks[gate.targets[0]], gate.theta / 2.0))
+        offset, mask, half = zip(*rz) if rz else ((), (), ())
+        return cls(np.array(offset, dtype=np.intp), np.array(mask, dtype=np.intp),
+                   np.array(half, dtype=np.float64), None if columns == unit else columns)
+
+    def phases(self, n: int, xs: Sequence[tuple[int, int]] = ()) -> np.ndarray:
+        """The 2^n phases of the coefficients at the end of the stretch,
+        for a row whose X's inside it are ``xs``, each as (RZ gates before
+        it, column d), in order.  The coefficients are built by one
+        ``np.subtract.at`` of half angles per segment between X's, and each
+        X negates those already set whose mask has an odd overlap with d."""
+        angle = np.zeros(1 << n)
+        present = np.zeros(1 << n, dtype=bool)
+        done = 0
+        for count, column in xs:
+            np.subtract.at(angle, self.mask[done:count], self.half[done:count])
+            present[self.mask[done:count]] = True
+            np.negative(angle, out=angle, where=present & _odd(n, column))
+            done = count
+        np.subtract.at(angle, self.mask[done:], self.half[done:])
+        return _phases(angle)
 
     def arrays(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The phase column and the gather source that ``_Frame.flush``
-        applies at the end of this stretch when no row has its own dict,
-        each None where the flush skips that pass."""
-        phase = _phases(n, self.masks, self.coefficients) if self.masks.size else None
+        """The phase column and the gather source of the flush at the end
+        of this stretch, each None where the flush skips that pass: the
+        amplitude for index y sits at the XOR of the columns of y's bits."""
+        phase = self.phases(n)[:, None] if self.mask.size else None
         return phase, None if self.columns is None else _xor_span(self.columns[::-1])
 
 
@@ -606,6 +567,7 @@ class _Plan:
     def __init__(self, circuit: Circuit) -> None:
         n, gates, code = circuit.n_qubits, circuit.gates, circuit.code
         self.n, self.gates = n, gates
+        self.unit = [1 << (n - 1 - q) for q in range(n)]  # each qubit's mask and column
         self.channel = circuit.channels()
         in_stretch = np.array([n >= 2 and gate.kind in ("CNOT", "RZ")
                                for gate in circuit.distinct], dtype=np.int8)[code]
@@ -618,7 +580,7 @@ class _Plan:
             self.steps += [(g, g + 1, None) for g in range(done, first)]
             key = code[first:stop].tobytes()
             if key not in stretches:
-                stretches[key] = _Stretch.walk(n, gates[first:stop])
+                stretches[key] = _Stretch.read(self.unit, gates[first:stop])
             self.steps.append((first, stop, stretches[key]))
             done = stop
         self.steps += [(g, g + 1, None) for g in range(done, len(gates))]
@@ -660,14 +622,15 @@ def _run_block(plan: _Plan, block: list[_Insertions],
     every row runs from |0...0>.
 
     A kernel step goes through ``_apply_inplace``, and so does an
-    insertion after it.  A stretch step with no insertion and no join
-    after any of its gates applies the flush of its ``_Stretch``: one
-    multiply by its phase column, then one gather.  The two arrays are
-    computed at the step and kept while the next such stretch is the same
-    one.  A stretch step that holds an insertion or a join is walked gate
-    by gate in a ``_Frame``, which the insertions and joins act in, and
-    flushed after its last gate.  Either way a stretch is flushed where
-    the circuit puts it, whatever rows the block holds.
+    insertion after it.  Every stretch step ends in its ``_Stretch``'s
+    flush: one multiply by its phase column, then one gather, arrays
+    computed at the step and kept while the next stretch is the same one.
+    Where rows join or take insertions inside the stretch, its CNOTs are
+    replayed up to each such gate, the joins and Paulis act there (see the
+    module docstring), and a row that took an X multiplies by its own
+    phases, through a contiguous copy, in place of the phase column.
+    Either way a stretch is flushed where the circuit puts it, whatever
+    rows the block holds.
     """
     n, gates = plan.n, plan.gates
     wide = len(block) >= _WIDE
@@ -692,48 +655,68 @@ def _run_block(plan: _Plan, block: list[_Insertions],
             after.setdefault(index, []).append((r, paulis))
     view = head(active)
 
-    def insert(g: int, frame: _Frame | None) -> None:
-        """The joins and insertions after gate g, inside ``frame``'s
-        stretch or, with no frame, through the kernel."""
+    def join(g: int) -> None:
+        """The rows that join after gate g, as copies of row 0."""
         nonlocal active, view
         if g in joined:
             grid[active:joined[g]] = grid[0]
             active = joined[g]
             view = head(active)
-        for r, paulis in after[g]:
-            for pauli in paulis:
-                if frame is None:
-                    _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
-                else:
-                    frame.pauli(grid, r, pauli, scratch)
 
     marks = iter(sorted(after))
     mark = next(marks, len(gates))  # the next gate with an insertion after it
-    frame = _Frame(n)  # walks the stretches that hold an insertion or a join
-    held = (None, None, None)  # the last stretch flushed whole, its phase and source
+    held = (None, None, None)  # the last stretch flushed, its phase and source
     bufsize = np.setbufsize(_WIDE_BUFSIZE) if wide else None
     try:
         for first, stop, stretch in plan.steps:
             if stretch is None:
                 _apply_inplace(view, gates[first], n, scratch)
                 if mark == first:
-                    insert(first, None)
+                    join(first)
+                    for r, paulis in after[first]:
+                        for pauli in paulis:
+                            _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
                     mark = next(marks, len(gates))
-            elif mark >= stop:
-                if held[0] is not stretch:
-                    held = (stretch, *stretch.arrays(n))
-                _, phase, source = held
-                if phase is not None:
-                    view *= phase
-                if source is not None:
-                    _gather(view, source, scratch)
-            else:
-                for g in range(first, stop):
-                    frame.step(gates[g])
-                    if mark == g:
-                        insert(g, frame)
-                        mark = next(marks, len(gates))
-                frame.flush(view, grid, scratch)
+                continue
+            if held[0] is not stretch:
+                held = (stretch, *stretch.arrays(n))
+            _, phase, source = held
+            xs: dict[int, list[tuple[int, int]]] = {}  # row -> its X's here
+            masks, columns, done = plan.unit.copy(), plan.unit.copy(), first
+            while mark < stop:
+                _replay(gates[done:mark + 1], masks, columns)
+                done = mark + 1
+                join(mark)
+                count = int(np.searchsorted(stretch.offset, mark - first, side="right"))
+                for r, paulis in after[mark]:
+                    row = grid[r]
+                    for pauli in paulis:
+                        q, kind = pauli.targets[0], pauli.kind
+                        if kind != "X":
+                            np.negative(row, out=row, where=_odd(n, masks[q]))
+                        if kind != "Z":
+                            moved = scratch[:row.size]
+                            np.take(row, np.arange(row.size) ^ columns[q], out=moved, mode="clip")
+                            row[:] = moved
+                            xs.setdefault(r, []).append((count, columns[q]))
+                        if kind == "Y":
+                            row *= 1j
+                mark = next(marks, len(gates))
+            if phase is not None:
+                # a row that took an X multiplies by its own phases through a
+                # contiguous copy, as a one-row run does, and is put back
+                # over the block's multiply
+                own = []
+                for k, (r, row_xs) in enumerate(xs.items()):
+                    row = scratch[k << n:(k + 1) << n]
+                    np.copyto(row, grid[r])
+                    row *= stretch.phases(n, row_xs)
+                    own.append((r, row))
+                view *= phase
+                for r, row in own:
+                    grid[r] = row
+            if source is not None:
+                _gather(view, source, scratch)
     finally:
         if wide:
             np.setbufsize(bufsize)

@@ -27,8 +27,8 @@ from qfeas.sim.engine import (
     _WIDE_BUFSIZE,
     PAULI_PAIRS,
     NoiseModel,
-    _Frame,
     _Plan,
+    _Stretch,
     _apply_inplace,
     _blocks,
     _run_block,
@@ -370,14 +370,16 @@ class TestPlan:
     def test_grover_walks_its_network_once(self, n, iterations):
         """The 2k phase networks of a k-iteration search repeat one tuple
         of Gate objects, so they share one ``_Stretch``, and building the
-        plan walks a frame over that network once."""
+        plan reads that network once, over its 2^(n+1) - 3 gates."""
         circuit = build_grover_circuit(n, ("10" * n)[:n], iterations)
-        with mock.patch.object(_Frame, "step", autospec=True, side_effect=_Frame.step) as step:
+        with mock.patch.object(_Stretch, "read", side_effect=_Stretch.read) as read:
             plan = _Plan(circuit)
         stretches = [stretch for _, _, stretch in plan.steps if stretch is not None]
         assert len(stretches) == 2 * iterations
         assert all(stretch is stretches[0] for stretch in stretches)
-        assert step.call_count == (1 << n) - 1 + (1 << n) - 2  # RZ + CNOT of one network
+        assert read.call_count == 1
+        (_, gates), _ = read.call_args
+        assert len(gates) == (1 << n) - 1 + (1 << n) - 2  # RZ + CNOT of one network
 
     def test_search_circuit_builds_each_distinct_gate_once(self):
         """One H and one X per wire and one Gate per CNOT (control, target)

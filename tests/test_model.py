@@ -51,11 +51,6 @@ class TestErrorBudget:
 
 
 class TestOpCounts:
-    def test_addition_is_componentwise(self):
-        a = OpCounts(1, 2, 3)
-        b = OpCounts(10, 20, 30)
-        assert a + b == OpCounts(11, 22, 33)
-
     def test_count_lookup_matches_fields(self):
         c = OpCounts(5, 7, 9)
         assert [c.count(ch) for ch in CHANNELS] == [5, 7, 9]
