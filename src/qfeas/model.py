@@ -172,10 +172,6 @@ class OpCounts(Record):
         """Count for a named channel from :data:`CHANNELS`."""
         return (self.n0, self.n1, self.n2)[_channel_index(channel)]
 
-    @property
-    def total(self) -> int | float:
-        return self.n0 + self.n1 + self.n2
-
 
 class HardwareProfile(Record):
     """Physical platform parameters used across the estimator.

@@ -31,9 +31,8 @@ Welch, Greenbaum, Mostame and Aspuru-Guzik, arXiv:1306.3991), which runs
 as a phase polynomial (Amy, Maslov and Mosca, arXiv:1303.2042).  The
 plan is built without a Python loop over the gates: it reads the
 circuit's numbering of its distinct Gate objects (``Circuit.distinct``
-and ``Circuit.code``, made once when the circuit is built), and numpy
-arrays of their kinds, spread by the codes, give each gate's noise
-channel and the stretch edges.
+and ``Circuit.code``, made once when the circuit is built), and a numpy
+array of their kinds, spread by the codes, gives the stretch edges.
 
 With x the position of an amplitude at the start of a stretch, each
 qubit q has a mask m_q, whose parity with x is q's current bit, and a
@@ -43,21 +42,23 @@ amplitude: it does m_t ^= m_c and d_c ^= d_t.  An RZ(theta) on q
 subtracts theta/2 from the coefficient c[m_q] of the pending phase, sum
 over m of c[m] * (-1)^parity(m & x).  Stretches of the same Gate
 objects, in the same order, share one ``_Stretch``, read once per plan
-in one Python pass: for each RZ in order, its offset, its qubit's mask
-there and its half angle, as arrays, and the final columns.  The
-coefficients are one ``np.subtract.at`` of the half angles into an array
-indexed by mask, so each is 0.0 - half at its mask's first RZ with every
-later half subtracted in order.  Every occurrence of a stretch is
-flushed where the circuit puts it, after its last gate, by the same
-arrays, kept while the next stretch is the same one: one multiply by
-its phase column (one Walsh-Hadamard transform of the coefficients, then
-``exp(1j * angle)``), then one gather that moves the amplitude at x to
-the index whose bit q is parity(m_q & x).  Parities are XORs over mask
-bits, so no popcount is needed.
+in one Python pass, the only one over its Gate objects: for each RZ in
+order, its offset, its qubit's mask there and its half angle, as
+arrays; each CNOT's (control, target) pair; and the two arrays of the
+flush.  The coefficients are one ``np.subtract.at`` of the half angles
+into an array indexed by mask, so each is 0.0 - half at its mask's
+first RZ with every later half subtracted in order.  Every occurrence
+of a stretch is flushed where the circuit puts it, after its last gate,
+by the same arrays: one multiply by its phase column (one
+Walsh-Hadamard transform of the coefficients, then ``exp(1j *
+angle)``), then one gather that moves the amplitude at x to the index
+whose bit q is parity(m_q & x).  Parities are XORs over mask bits, so
+no popcount is needed.
 
 Where rows join or take insertions inside a stretch, the block replays
-that occurrence's CNOTs up to each such gate, and an insertion acts
-there on its own row: Z negates the amplitudes where parity(m_q & x) is
+the stretch's CNOTs up to each such gate (up to offset o, the first
+o + 1 less the RZs up to there), and an insertion acts there on its
+own row: Z negates the amplitudes where parity(m_q & x) is
 odd; X moves the amplitude at x to x ^ d_q; Y is i X Z.  An X also
 negates, in that row's coefficients, each one already set whose mask has
 an odd overlap with d_q.  So a row that took an X keeps the RZ count and
@@ -84,9 +85,9 @@ joined the block, and a Pauli insertion afterwards to its own row.  In a
 block led by the noiseless row, a row joins at its first insertion: just
 after that gate it starts as a copy of the noiseless row, whose every
 operation up to there it shares.  The noise sites (``_Sites``) are two
-arrays read off the plan, the gates' indices and their rates; the Pauli
-gates of an insertion are built the first time, in a process, that a
-site with those targets draws that Pauli.
+arrays read off the circuit's channels, the gates' indices and their
+rates; the Pauli gates of an insertion are built the first time, in a
+process, that a site with those targets draws that Pauli.
 
 An observable is ``observe(ideal, state)``, a float from the noiseless
 final state and one trajectory's; its mean and standard error over the
@@ -281,9 +282,14 @@ class _Sites(Record):
 
 
 def noise_sites(circuit: Circuit, noise: NoiseModel) -> _Sites:
-    """Insertion sites in circuit order, read off the circuit's plan;
-    zero-rate channels contribute none."""
-    return _Plan(circuit).sites(noise)
+    """Insertion sites in circuit order: the gates whose channel's rate is
+    nonzero (IDLE -> eps0, other one-qubit -> eps1, two-qubit -> eps2),
+    with their rates, read off ``circuit.channels()``."""
+    budget = noise.budget
+    rates = np.array([budget.eps0, budget.eps1, budget.eps2])
+    channel = circuit.channels()
+    index = np.flatnonzero((rates != 0.0)[channel])
+    return _Sites(index, rates[channel[index]], circuit.gates)
 
 
 def sample_insertions(sites: _Sites, traj_seed: int) -> _Insertions:
@@ -492,42 +498,47 @@ def _gather(view: np.ndarray, source: np.ndarray, scratch: np.ndarray) -> None:
     np.copyto(view, moved)
 
 
-def _replay(gates: tuple[Gate, ...], masks: list[int], columns: list[int]) -> None:
-    """Apply the CNOTs among ``gates``, part of a stretch in order, to its
-    masks and columns: CNOT(c, t) does m_t ^= m_c and d_c ^= d_t."""
-    for gate in gates:
-        if gate.kind == "CNOT":
-            control, target = gate.targets
-            masks[target] ^= masks[control]
-            columns[control] ^= columns[target]
+def _cnot(masks: list[int], columns: list[int], pair: tuple[int, int]) -> None:
+    """Apply CNOT(c, t), ``pair`` = (c, t), to a stretch's masks and
+    columns: m_t ^= m_c and d_c ^= d_t."""
+    control, target = pair
+    masks[target] ^= masks[control]
+    columns[control] ^= columns[target]
 
 
 class _Stretch(NamedTuple):
     """A stretch of CNOT and RZ gates on n >= 2 qubits, read once (see
     the module docstring): for each RZ in order, its ``offset`` in the
-    stretch, its qubit's ``mask`` there and its ``half`` angle, and the
-    final ``columns``, None where they are the identity."""
+    stretch, its qubit's ``mask`` there and its ``half`` angle; each
+    CNOT's (control, target) pair in order, ``cnots``; and the flush's
+    ``phase`` column and gather ``source``, each None where the flush
+    skips that pass."""
 
     offset: np.ndarray
     mask: np.ndarray
     half: np.ndarray
-    columns: list[int] | None
+    cnots: list[tuple[int, int]]
+    phase: np.ndarray | None
+    source: np.ndarray | None
 
     @classmethod
     def read(cls, unit: list[int], gates: tuple[Gate, ...]) -> "_Stretch":
-        """One pass over the gates from the identity map ``unit``, with
-        the CNOTs as ``_replay`` applies them."""
-        masks, columns, rz = unit.copy(), unit.copy(), []
+        """One pass over the gates from the identity map ``unit``, the
+        only one that reads them.  The flush's gather moves to index y the
+        amplitude at the XOR of the final columns of y's bits."""
+        masks, columns, rz, cnots = unit.copy(), unit.copy(), [], []
         for j, gate in enumerate(gates):
             if gate.kind == "CNOT":
-                control, target = gate.targets
-                masks[target] ^= masks[control]
-                columns[control] ^= columns[target]
+                cnots.append(gate.targets)
+                _cnot(masks, columns, gate.targets)
             else:
                 rz.append((j, masks[gate.targets[0]], gate.theta / 2.0))
         offset, mask, half = zip(*rz) if rz else ((), (), ())
-        return cls(np.array(offset, dtype=np.intp), np.array(mask, dtype=np.intp),
-                   np.array(half, dtype=np.float64), None if columns == unit else columns)
+        stretch = cls(np.array(offset, dtype=np.intp), np.array(mask, dtype=np.intp),
+                      np.array(half, dtype=np.float64), cnots, None, None)
+        return stretch._replace(
+            phase=stretch.phases(len(unit))[:, None] if rz else None,
+            source=None if columns == unit else _xor_span(columns[::-1]))
 
     def phases(self, n: int, xs: Sequence[tuple[int, int]] = ()) -> np.ndarray:
         """The 2^n phases of the coefficients at the end of the stretch,
@@ -546,13 +557,6 @@ class _Stretch(NamedTuple):
         np.subtract.at(angle, self.mask[done:], self.half[done:])
         return _phases(angle)
 
-    def arrays(self, n: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """The phase column and the gather source of the flush at the end
-        of this stretch, each None where the flush skips that pass: the
-        amplitude for index y sits at the XOR of the columns of y's bits."""
-        phase = self.phases(n)[:, None] if self.mask.size else None
-        return phase, None if self.columns is None else _xor_span(self.columns[::-1])
-
 
 class _Plan:
     """A circuit compiled once for ``_run_block`` and the noise sites (see
@@ -560,15 +564,13 @@ class _Plan:
     kernel gate ``gates[first]``, with stop = first + 1 and stretch None,
     or on n >= 2 qubits a stretch gates[first:stop] of CNOT and RZ with
     its ``_Stretch``, one object for all the stretches of the same Gate
-    objects.  ``channel`` holds each gate's noise channel.  The plan
-    numbers nothing itself: a stretch is keyed by the circuit's codes of
-    its gates."""
+    objects.  The plan numbers nothing itself: a stretch is keyed by the
+    circuit's codes of its gates."""
 
     def __init__(self, circuit: Circuit) -> None:
         n, gates, code = circuit.n_qubits, circuit.gates, circuit.code
         self.n, self.gates = n, gates
         self.unit = [1 << (n - 1 - q) for q in range(n)]  # each qubit's mask and column
-        self.channel = circuit.channels()
         in_stretch = np.array([n >= 2 and gate.kind in ("CNOT", "RZ")
                                for gate in circuit.distinct], dtype=np.int8)[code]
         # stretch edges alternate: a first gate, then the gate after the last
@@ -584,14 +586,6 @@ class _Plan:
             self.steps.append((first, stop, stretches[key]))
             done = stop
         self.steps += [(g, g + 1, None) for g in range(done, len(gates))]
-
-    def sites(self, noise: NoiseModel) -> _Sites:
-        """The gates whose channel's rate is nonzero (IDLE -> eps0, other
-        one-qubit -> eps1, two-qubit -> eps2), with their rates."""
-        budget = noise.budget
-        rates = np.array([budget.eps0, budget.eps1, budget.eps2])
-        index = np.flatnonzero((rates != 0.0)[self.channel])
-        return _Sites(index, rates[self.channel[index]], self.gates)
 
 
 def _run_block(plan: _Plan, block: list[_Insertions],
@@ -623,12 +617,12 @@ def _run_block(plan: _Plan, block: list[_Insertions],
 
     A kernel step goes through ``_apply_inplace``, and so does an
     insertion after it.  Every stretch step ends in its ``_Stretch``'s
-    flush: one multiply by its phase column, then one gather, arrays
-    computed at the step and kept while the next stretch is the same one.
-    Where rows join or take insertions inside the stretch, its CNOTs are
-    replayed up to each such gate, the joins and Paulis act there (see the
-    module docstring), and a row that took an X multiplies by its own
-    phases, through a contiguous copy, in place of the phase column.
+    flush: one multiply by its phase column, then one gather.  Where rows
+    join or take insertions inside the stretch, its CNOTs up to each such
+    gate, a slice of the stretch's ``cnots``, are replayed, the joins and
+    Paulis act there (see the module docstring), and a row that took an X
+    multiplies by its own phases, through a contiguous copy, in place of
+    the phase column.
     Either way a stretch is flushed where the circuit puts it, whatever
     rows the block holds.
     """
@@ -665,7 +659,6 @@ def _run_block(plan: _Plan, block: list[_Insertions],
 
     marks = iter(sorted(after))
     mark = next(marks, len(gates))  # the next gate with an insertion after it
-    held = (None, None, None)  # the last stretch flushed, its phase and source
     bufsize = np.setbufsize(_WIDE_BUFSIZE) if wide else None
     try:
         for first, stop, stretch in plan.steps:
@@ -678,16 +671,16 @@ def _run_block(plan: _Plan, block: list[_Insertions],
                             _apply_inplace(grid[r][None, :, None], pauli, n, scratch)
                     mark = next(marks, len(gates))
                 continue
-            if held[0] is not stretch:
-                held = (stretch, *stretch.arrays(n))
-            _, phase, source = held
             xs: dict[int, list[tuple[int, int]]] = {}  # row -> its X's here
-            masks, columns, done = plan.unit.copy(), plan.unit.copy(), first
+            masks, columns, done = plan.unit.copy(), plan.unit.copy(), 0
             while mark < stop:
-                _replay(gates[done:mark + 1], masks, columns)
-                done = mark + 1
-                join(mark)
+                # of the gates up to offset mark - first, count are RZs, the rest CNOTs
                 count = int(np.searchsorted(stretch.offset, mark - first, side="right"))
+                cnots = mark - first + 1 - count
+                for pair in stretch.cnots[done:cnots]:
+                    _cnot(masks, columns, pair)
+                done = cnots
+                join(mark)
                 for r, paulis in after[mark]:
                     row = grid[r]
                     for pauli in paulis:
@@ -702,7 +695,7 @@ def _run_block(plan: _Plan, block: list[_Insertions],
                         if kind == "Y":
                             row *= 1j
                 mark = next(marks, len(gates))
-            if phase is not None:
+            if stretch.phase is not None:
                 # a row that took an X multiplies by its own phases through a
                 # contiguous copy, as a one-row run does, and is put back
                 # over the block's multiply
@@ -712,11 +705,11 @@ def _run_block(plan: _Plan, block: list[_Insertions],
                     np.copyto(row, grid[r])
                     row *= stretch.phases(n, row_xs)
                     own.append((r, row))
-                view *= phase
+                view *= stretch.phase
                 for r, row in own:
                     grid[r] = row
-            if source is not None:
-                _gather(view, source, scratch)
+            if stretch.source is not None:
+                _gather(view, stretch.source, scratch)
     finally:
         if wide:
             np.setbufsize(bufsize)
@@ -767,7 +760,7 @@ def mean_over_trajectories(
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     n = circuit.n_qubits
     plan = _Plan(circuit)
-    sites = plan.sites(noise)
+    sites = noise_sites(circuit, noise)
     if not len(sites):
         ideal = _run_block(plan, [{}], np.empty(1 << n, dtype=np.complex128))[0]
         return Estimate(observe(ideal, ideal), 0.0)

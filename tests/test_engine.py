@@ -452,6 +452,18 @@ class TestPlan:
         want = _per_gate_sites(circuit, budget)
         assert got == want
 
+    def test_noise_sites_compile_nothing(self):
+        """The sites are read off the circuit's channels: no stretch of a
+        search circuit is read, and the sites are the per-gate ones."""
+        circuit = build_grover_circuit(5, "10110", 3)
+        budget = ErrorBudget(eps1=1e-3, eps2=2e-3)
+        with mock.patch.object(_Stretch, "read", side_effect=_Stretch.read) as read:
+            sites = noise_sites(circuit, NoiseModel(budget))
+        assert read.call_count == 0
+        want = _per_gate_sites(circuit, budget)
+        assert sites.index.tolist() == [g for g, _, _ in want]
+        assert sites.rate.tolist() == [rate for _, rate, _ in want]
+
 
 class TestSerialOracle:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])

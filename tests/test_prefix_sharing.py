@@ -383,8 +383,37 @@ def _stretch_blocks(draw):
     return circuit, [{}] + sorted(rows, key=min) if led else rows
 
 
+def _stretch_case(stretch, *rows):
+    """A case shaped as ``_stretch_blocks`` draws them, on 3 qubits: Y on
+    qubit 0, the stretch (gates 1 to len(stretch)), H on qubit 1 and the
+    stretch again; a 4-row block led by the ideal row."""
+    circuit = Circuit(3, (Gate("Y", (0,)), *stretch, Gate("H", (1,)), *stretch))
+    return circuit, [{}] + sorted(rows, key=min)
+
+
+def _paulis(*names):
+    """Pauli gates from names such as "X0": kind, then qubit."""
+    return tuple(Gate(name[0], (int(name[1:]),)) for name in names)
+
+
+_RZ_ONLY = (Gate("RZ", (0,), 0.3), Gate("RZ", (1,), -1.1), Gate("RZ", (0,), 0.7))
+_CNOT_ONLY = (Gate("CNOT", (0, 1)), Gate("CNOT", (1, 2)), Gate("CNOT", (2, 0)))
+_RZ_ENDS = (Gate("RZ", (0,), 0.5), Gate("CNOT", (0, 1)), Gate("RZ", (1,), -0.8),
+            Gate("CNOT", (1, 2)), Gate("RZ", (2,), 1.3))
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=_stretch_blocks())
+# the edges of the replayed CNOTs' slice: a stretch of RZs only, with no
+# CNOT to replay and no gather; one of CNOTs only, with no phase column;
+# and Paulis just after the first and the last gate of a stretch that
+# starts and ends with an RZ
+@example(case=_stretch_case(_RZ_ONLY, {1: _paulis("X0")}, {2: _paulis("Y1"), 3: _paulis("X0")},
+                            {3: _paulis("Z2", "X1"), 5: _paulis("X2")}))
+@example(case=_stretch_case(_CNOT_ONLY, {1: _paulis("X0")}, {2: _paulis("Y1"), 3: _paulis("Z0")},
+                            {3: _paulis("X2"), 7: _paulis("Y0")}))
+@example(case=_stretch_case(_RZ_ENDS, {1: _paulis("X0")}, {1: _paulis("Y2"), 5: _paulis("X1")},
+                            {5: _paulis("X2", "Z1"), 11: _paulis("X0")}))
 def test_insertions_inside_random_stretches_match_the_serial_oracle(case):
     """Every row matches the oracle bit for bit, with joins, several X's
     on one row and Paulis on any qubit inside a stretch.
